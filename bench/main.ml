@@ -16,8 +16,8 @@
           verification/profiling; native JIT-compiles each kernel),
           --json FILE (write the perf-trajectory document there),
           --validate off|probe (translation-validate every rewrite),
-          --exact-ii off|check|report (second II oracle: validate the
-          heuristic schedules, or also certify the optimal II per cell),
+          --exact-ii off|report (footnote each pipelined cell's
+          scheduling certificate),
           --task-timeout SECS / --retries N (pool supervision),
           --fault PLAN (arm the fault-injection registry; testing),
           --cache DIR (persistent artifact store; default UAS_CACHE),
@@ -45,7 +45,7 @@ let validate : bool ref = ref false
 let task_timeout : float option ref = ref None
 let retries : int option ref = ref None
 
-(* --exact-ii off|check|report: the second II oracle per sweep cell *)
+(* --exact-ii off|report: certificate footnotes per pipelined cell *)
 let exact : Uas_dfg.Sched.exact_mode ref = ref Uas_dfg.Sched.Exact_off
 
 (* the perf-trajectory document of this run (--json); microbenchmarks
@@ -82,24 +82,6 @@ let rows () =
         let bench = row.E.br_benchmark.S.Registry.b_name in
         List.iter
           (fun (c : E.cell) ->
-            (match (!trajectory, c.E.c_gap) with
-            | Some t, Some (hii, e) ->
-              let module Sched = Uas_dfg.Sched in
-              let optimal =
-                match (e.Sched.e_status, e.Sched.e_schedule) with
-                | Sched.Exact_optimal, Some w -> Some w.Sched.s_ii
-                | _ -> None
-              in
-              Trajectory.add_gap t
-                { Trajectory.g_benchmark = bench;
-                  g_version = N.version_name c.E.c_version;
-                  g_heuristic_ii = hii;
-                  g_optimal_ii = optimal;
-                  g_proved_ii = e.Sched.e_proved;
-                  g_gap = Option.map (fun o -> hii - o) optimal;
-                  g_status = Sched.exact_status_name e.Sched.e_status;
-                  g_expansions = e.Sched.e_expansions }
-            | _ -> ());
             List.iter
               (fun d ->
                 incident ~site:"sweep"
@@ -673,7 +655,7 @@ let () =
     if o.Uas_core.Cli.o_cache_warm then begin
       (* the warm leg: drop the in-process table memo so the second
          pass really goes through the persistent store, and silence
-         the trajectory refs so metrics/plans/gaps/incidents are not
+         the trajectory refs so metrics/plans/incidents are not
          recorded twice — only the "<target> (warm)" wall-clock rows
          land in the document *)
       rows_cache := None;

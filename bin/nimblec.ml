@@ -200,7 +200,6 @@ let exact_arg =
   let mode_conv =
     Arg.enum
       [ ("off", Uas_dfg.Sched.Exact_off);
-        ("check", Uas_dfg.Sched.Exact_check);
         ("report", Uas_dfg.Sched.Exact_report) ]
   in
   Arg.(
@@ -208,11 +207,10 @@ let exact_arg =
     & opt mode_conv Uas_dfg.Sched.Exact_off
     & info [ "exact-ii" ] ~docv:"MODE"
         ~doc:
-          "Second II oracle per cell: $(b,off) (the default), \
-           $(b,check) (validate every heuristic schedule against the \
-           raw constraint system), or $(b,report) (also certify the \
-           optimal II of pipelined cells by exact branch-and-bound and \
-           footnote the heuristic-vs-optimal gap)")
+          "Scheduling certificates: $(b,off) (the default) or \
+           $(b,report) (footnote every pipelined cell with the modulo \
+           scheduler's certificate: the II proved optimal and the \
+           branch-and-bound size)")
 
 let task_timeout_arg =
   Arg.(
@@ -247,10 +245,9 @@ let cache_arg =
     & info [ "cache" ] ~docv:"DIR"
         ~env:(Cmd.Env.info Uas_runtime.Store.env_var)
         ~doc:
-          "Persistent content-addressed artifact store: schedules, \
-           exact-II certificates, hardware estimates and planner rows \
-           are looked up here before being recomputed (see \
-           docs/CACHING.md)")
+          "Persistent content-addressed artifact store: schedules with \
+           their certificates, hardware estimates and planner rows are \
+           looked up here before being recomputed (see docs/CACHING.md)")
 
 let cache_verify_arg =
   Arg.(

@@ -57,9 +57,9 @@ let parse ~available args =
         | Some mode -> go { acc with o_exact = mode } rest'
         | None ->
           Error
-            (Printf.sprintf "--exact-ii expects off, check or report, got %s"
+            (Printf.sprintf "--exact-ii expects off or report, got %s"
                m))
-      | [] -> Error "--exact-ii expects off, check or report")
+      | [] -> Error "--exact-ii expects off or report")
     | "--task-timeout" :: rest -> (
       (* shared validator (Uas_runtime.Budget): same ranges and the
          same diagnostic as nimblec and nimbled *)

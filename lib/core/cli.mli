@@ -17,9 +17,8 @@ type options = {
       (** [--validate off|probe]: translation-validate every rewrite on
           the benchmark workload (default off) *)
   o_exact : Uas_dfg.Sched.exact_mode;
-      (** [--exact-ii off|check|report]: run the second II oracle per
-          cell — validate heuristic schedules ([check]) or also certify
-          the optimal II and report the gap ([report]); default off *)
+      (** [--exact-ii off|report]: footnote every pipelined cell with
+          its scheduling certificate ([report]); default off *)
   o_task_timeout : float option;
       (** [--task-timeout SECS]: per-task wall budget for the pool *)
   o_retries : int option;
@@ -48,7 +47,7 @@ type options = {
     message naming it and listing the valid targets.  [-j] requires a
     positive integer, [--interp] one of [ref]/[fast], [--json] a file
     name, [--validate] one of [off]/[probe], [--exact-ii] one of
-    [off]/[check]/[report], [--task-timeout] positive seconds,
+    [off]/[report], [--task-timeout] positive seconds,
     [--retries] a non-negative integer, [--fault] a plan string
     (validated when armed, not here), [--cache] a directory
     (opened/validated when installed, not here). *)

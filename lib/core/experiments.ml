@@ -21,10 +21,10 @@ type cell = {
   c_version : Nimble.version;
   c_report : Estimate.report;
   c_verified : bool;  (** outputs match the host reference *)
-  c_gap : (int * Sched.exact) option;
-      (** with [--exact-ii report] on a pipelined version: the
-          heuristic II next to the exact oracle's verdict — rendered as
-          [gap:] table footers *)
+  c_gap : Sched.certificate option;
+      (** with [--exact-ii report] on a pipelined version: the modulo
+          scheduler's certificate — rendered as [exact:] table
+          footers *)
   c_incidents : Diag.t list;
       (** non-fatal trouble the cell degraded around: rewrites rejected
           by translation validation, verification runs that went stuck
@@ -76,18 +76,14 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
   @@ fun () ->
   let probe = if validate then Some b.Registry.b_workload else None in
   match
-    Nimble.run_version_cu ~target ?after ?validate:probe ~exact
-      b.Registry.b_program ~outer_index:b.Registry.b_outer_index
+    Nimble.run_version_cu ~target ?after ?validate:probe b.Registry.b_program
+      ~outer_index:b.Registry.b_outer_index
       ~inner_index:b.Registry.b_inner_index v
   with
   | Error d -> Error { s_version = v; s_diag = d }
   | Ok (cu, built, report) ->
-    let gap =
-      if exact = Sched.Exact_report && Nimble.pipelined v then
-        match (Cu.schedule cu, Cu.exact cu) with
-        | Some s, Some e -> Some (s.Sched.s_ii, e)
-        | _ -> None
-      else None
+    let certificate =
+      if exact = Sched.Exact_report then Cu.certificate cu else None
     in
     let incidents = ref (Cu.incidents cu) in
     let incident fmt =
@@ -160,7 +156,7 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
       { c_version = v;
         c_report = report;
         c_verified = verified;
-        c_gap = gap;
+        c_gap = certificate;
         c_incidents = !incidents }
 
 let row_of_results b results =
@@ -343,18 +339,18 @@ let pp_version ppf v = Fmt.string ppf (Nimble.version_name v)
    per version a pass rejected.  Both empty (and silent) when every
    version built cleanly — the clean table output is byte-identical to
    the pre-fault-tolerance printers. *)
-(* One "gap: <version> — <verdict>" footnote per cell that ran the
-   exact oracle (silent in off/check modes, so the default table output
-   is byte-identical to the pre-oracle printers). *)
-let pp_gaps ppf (cells : cell list) =
+(* One "exact: <version> — <certificate>" footnote per pipelined cell
+   under [Exact_report] (silent otherwise, so the default table output
+   carries no footnotes). *)
+let pp_certificates ppf (cells : cell list) =
   List.iter
     (fun c ->
       match c.c_gap with
       | None -> ()
-      | Some gap ->
-        Fmt.pf ppf "  gap: %-12s — %a@\n"
+      | Some cert ->
+        Fmt.pf ppf "  exact: %-12s — %a@\n"
           (Nimble.version_name c.c_version)
-          Sched.pp_gap gap)
+          Sched.pp_certificate cert)
     cells
 
 let pp_degraded ppf (cells : cell list) =
@@ -392,7 +388,7 @@ let pp_table_6_2 ppf (rows : bench_row list) =
             r.Estimate.r_mem_refs
             (if c.c_verified then "yes" else "NO"))
         row.br_cells;
-      pp_gaps ppf row.br_cells;
+      pp_certificates ppf row.br_cells;
       pp_degraded ppf row.br_cells;
       pp_skipped ppf row.br_skipped)
     rows

@@ -12,11 +12,11 @@ type cell = {
   c_version : Nimble.version;
   c_report : Estimate.report;
   c_verified : bool;  (** outputs match the host reference *)
-  c_gap : (int * Uas_dfg.Sched.exact) option;
+  c_gap : Uas_dfg.Sched.certificate option;
       (** with [exact = Exact_report] on a pipelined version: the
-          heuristic II next to the exact oracle's verdict, rendered as
-          a [gap:] footer via {!Uas_dfg.Sched.pp_gap}; [None] in
-          off/check modes and on non-pipelined cells *)
+          modulo scheduler's certificate, rendered as an [exact:]
+          footer via {!Uas_dfg.Sched.pp_certificate}; [None] with
+          [Exact_off] and on non-pipelined cells *)
   c_incidents : Uas_pass.Diag.t list;
       (** non-fatal trouble the cell degraded around (rewrites rejected
           by translation validation, verification runs gone stuck/out
@@ -68,11 +68,9 @@ type normalized = {
     verification run that goes stuck or out of fuel marks its cell
     unverified with an incident — it never aborts the sweep.
 
-    [exact] (default [Exact_off]) runs the second II oracle per cell:
-    [Exact_check] validates every heuristic schedule with
-    {!Uas_dfg.Sched.check_schedule}, [Exact_report] additionally
-    certifies (or brackets, under budget exhaustion) the optimal II of
-    the pipelined cells and fills {!cell.c_gap}. *)
+    [exact] (default [Exact_off]): [Exact_report] fills {!cell.c_gap}
+    with each pipelined cell's scheduling certificate (stored with the
+    schedule, so it costs no second run). *)
 val run_benchmark :
   ?target:Datapath.t ->
   ?verify:bool ->
@@ -137,10 +135,9 @@ val pp_version : Nimble.version Fmt.t
     cells (one per incident; silent on clean cells). *)
 val pp_degraded : cell list Fmt.t
 
-(** The [gap: <version> — <verdict>] footer lines of a row's cells
-    (one per cell that ran the exact oracle; silent otherwise, so the
-    default table output is unchanged). *)
-val pp_gaps : cell list Fmt.t
+(** The [exact: <version> — <certificate>] footer lines of a row's
+    cells (one per cell with a certificate; silent otherwise). *)
+val pp_certificates : cell list Fmt.t
 
 val pp_table_6_2 : bench_row list Fmt.t
 val pp_table_6_3 : bench_row list Fmt.t

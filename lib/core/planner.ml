@@ -86,9 +86,9 @@ let candidates ?(factors = default_factors) ?(depth = 2) () : candidate list =
 type row = {
   r_candidate : candidate;
   r_outcome : (Estimate.report, Diag.t) result;
-  r_gap : (int * Uas_dfg.Sched.exact) option;
+  r_certificate : Uas_dfg.Sched.certificate option;
       (** with [exact = Exact_report] on a pipelined candidate: the
-          heuristic II next to the exact oracle's verdict *)
+          modulo scheduler's certificate *)
   r_incidents : Diag.t list;
 }
 
@@ -109,10 +109,10 @@ let rewrite_passes ?validate (c : candidate) : Pass.t list =
 
 (* ---- plan-row serialization (artifact store) ----
 
-   A whole scored row — outcome (report or diagnostic), optional gap
-   verdict, incident list — round-trips through a versioned line-based
-   form, so a warm [plan] run replays every footnote byte-identically
-   without running a single pass pipeline. *)
+   A whole scored row — outcome (report or diagnostic), optional
+   scheduling certificate, incident list — round-trips through a
+   versioned line-based form, so a warm [plan] run replays every
+   footnote byte-identically without running a single pass pipeline. *)
 
 let severity_name = function
   | Diag.Error -> "error"
@@ -164,16 +164,16 @@ let diag_of_atom s : Diag.t option =
 
 let row_payload (row : row) =
   let b = Buffer.create 256 in
-  Buffer.add_string b "plan-row 1\n";
+  Buffer.add_string b "plan-row 2\n";
   (match row.r_outcome with
   | Ok r ->
     Buffer.add_string b ("outcome ok " ^ Estimate.report_to_string r ^ "\n")
   | Error d -> Buffer.add_string b ("outcome err " ^ diag_atom d ^ "\n"));
-  (match row.r_gap with
-  | None -> Buffer.add_string b "gap -\n"
-  | Some (hii, e) ->
-    Buffer.add_string b
-      (Printf.sprintf "gap %d %s\n" hii (Uas_dfg.Sched.exact_to_string e)));
+  Buffer.add_string b
+    ((match row.r_certificate with
+     | None -> "cert -"
+     | Some c -> Uas_dfg.Sched.certificate_to_string c)
+    ^ "\n");
   List.iter
     (fun d -> Buffer.add_string b ("incident " ^ diag_atom d ^ "\n"))
     row.r_incidents;
@@ -188,7 +188,7 @@ let row_of_payload (c : candidate) payload : row option =
     else None
   in
   match String.split_on_char '\n' payload with
-  | "plan-row 1" :: outcome_l :: gap_l :: rest ->
+  | "plan-row 2" :: outcome_l :: cert_l :: rest ->
     let* outcome =
       match strip ~prefix:"outcome ok " outcome_l with
       | Some r_s -> Option.map Result.ok (Estimate.report_of_string r_s)
@@ -197,17 +197,9 @@ let row_of_payload (c : candidate) payload : row option =
         | Some d_s -> Option.map Result.error (diag_of_atom d_s)
         | None -> None)
     in
-    let* gap =
-      if String.equal gap_l "gap -" then Some None
-      else
-        let* g_s = strip ~prefix:"gap " gap_l in
-        let* i = String.index_opt g_s ' ' in
-        let* hii = int_of_string_opt (String.sub g_s 0 i) in
-        let* e =
-          Uas_dfg.Sched.exact_of_string
-            (String.sub g_s (i + 1) (String.length g_s - i - 1))
-        in
-        Some (Some (hii, e))
+    let* certificate =
+      if String.equal cert_l "cert -" then Some None
+      else Option.map Option.some (Uas_dfg.Sched.certificate_of_string cert_l)
     in
     let rec incs acc = function
       | [] | [ "" ] -> Some (List.rev acc)
@@ -220,13 +212,13 @@ let row_of_payload (c : candidate) payload : row option =
     Some
       { r_candidate = c;
         r_outcome = outcome;
-        r_gap = gap;
+        r_certificate = certificate;
         r_incidents = incidents }
   | _ -> None
 
 (* everything a scored row depends on besides the benchmark program
    text (which Cu.store_key hashes): the candidate, the kernel
-   location, the datapath, oracle modes and effort budgets, whether
+   location, the datapath, the footnote mode and effort budget, whether
    rewrites are translation-validated, and the cost-model version *)
 let row_context ?validate ~exact ~target ~outer_index ~inner_index
     (c : candidate) =
@@ -240,8 +232,7 @@ let row_context ?validate ~exact ~target ~outer_index ~inner_index
     "exact=" ^ Uas_dfg.Sched.exact_mode_name exact;
     "validate=" ^ string_of_bool (Option.is_some validate);
     "cost-model=" ^ string_of_int Estimate.cost_model_version;
-    "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;
-    "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
+    "effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
 
 let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index (c : candidate) : row
@@ -268,7 +259,6 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
       (Stages.analyze :: rewrite_passes ?validate c)
       @ [ Stages.dfg_build ~target ();
           Stages.schedule ~target ~pipelined:c.c_pipelined ();
-          Stages.exact_ii ~target ~pipelined:c.c_pipelined ~mode:exact ();
           Stages.estimate ~target ~pipelined:c.c_pipelined ~name:c.c_label ()
         ]
     in
@@ -277,21 +267,21 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
       | Ok cu -> (
         match Cu.report cu with
         | Some r ->
-          let gap =
-            if exact = Uas_dfg.Sched.Exact_report && c.c_pipelined then
-              match (Cu.schedule cu, Cu.exact cu) with
-              | Some s, Some e -> Some (s.Uas_dfg.Sched.s_ii, e)
-              | _ -> None
+          let certificate =
+            if exact = Uas_dfg.Sched.Exact_report then Cu.certificate cu
             else None
           in
           { r_candidate = c;
             r_outcome = Ok r;
-            r_gap = gap;
+            r_certificate = certificate;
             r_incidents = Cu.incidents cu }
         | None -> assert false (* the estimate pass always sets the report *)
         )
       | Error d ->
-        { r_candidate = c; r_outcome = Error d; r_gap = None; r_incidents = [] }
+        { r_candidate = c;
+          r_outcome = Error d;
+          r_certificate = None;
+          r_incidents = [] }
     in
     Cu.store_put cu ~kind ~context (row_payload row);
     row
@@ -363,7 +353,7 @@ let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
                  Error
                    (Diag.errorf ~pass:"task" "%s"
                       (Parallel.Task_failure.to_message tf));
-               r_gap = None;
+               r_certificate = None;
                r_incidents = [] })
          cands
   in
@@ -423,11 +413,11 @@ let pp ppf (plan : plan) =
     plan.p_rows;
   List.iter
     (fun row ->
-      match row.r_gap with
+      match row.r_certificate with
       | None -> ()
-      | Some gap ->
-        Fmt.pf ppf "gap: %s — %a@." row.r_candidate.c_label
-          Uas_dfg.Sched.pp_gap gap)
+      | Some cert ->
+        Fmt.pf ppf "exact: %s — %a@." row.r_candidate.c_label
+          Uas_dfg.Sched.pp_certificate cert)
     plan.p_rows;
   List.iter
     (fun row ->

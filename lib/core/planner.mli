@@ -44,10 +44,10 @@ val candidates : ?factors:int list -> ?depth:int -> unit -> candidate list
 type row = {
   r_candidate : candidate;
   r_outcome : (Estimate.report, Diag.t) result;
-  r_gap : (int * Uas_dfg.Sched.exact) option;
+  r_certificate : Uas_dfg.Sched.certificate option;
       (** with [exact = Exact_report] on a pipelined candidate: the
-          heuristic II next to the exact oracle's verdict, rendered as
-          a [gap:] footer via {!Uas_dfg.Sched.pp_gap} *)
+          modulo scheduler's certificate, rendered as an [exact:]
+          footer via {!Uas_dfg.Sched.pp_certificate} *)
   r_incidents : Diag.t list;
       (** rewrites translation validation rejected along this
           candidate's sequence — the report then describes the
@@ -73,10 +73,8 @@ type plan = {
     [timeout_s]/[retries] supervise the pool, and a task the pool gives
     up on ranks last with a [task] diagnostic.
 
-    [exact] (default [Exact_off]) runs the second II oracle per
-    candidate: [Exact_check] validates the heuristic schedules,
-    [Exact_report] additionally certifies the optimal II of pipelined
-    candidates and fills [r_gap]. *)
+    [exact] (default [Exact_off]): [Exact_report] fills [r_certificate] with
+    each pipelined candidate's scheduling certificate. *)
 val plan :
   ?target:Datapath.t ->
   ?jobs:int ->

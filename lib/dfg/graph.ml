@@ -109,20 +109,85 @@ let critical_path (g : t) : int =
     order;
   Array.fold_left max 0 finish
 
+(* Strongly connected components (Tarjan, iterative): [comp.(i)] is
+   the component of node [i]. *)
+let components (g : t) : int array =
+  let n = node_count g in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false and comp = Array.make n (-1) in
+  let stack = ref [] and next = ref 0 and ncomp = ref 0 in
+  let visit root =
+    (* explicit DFS frames: node and its successors still to scan *)
+    let frames = ref [ (root, g.succs.(root)) ] in
+    let enter v =
+      index.(v) <- !next;
+      low.(v) <- !next;
+      incr next;
+      stack := v :: !stack;
+      on_stack.(v) <- true
+    in
+    enter root;
+    while !frames <> [] do
+      match !frames with
+      | [] -> ()
+      | (v, (w, _) :: rest) :: up ->
+        frames := (v, rest) :: up;
+        if index.(w) < 0 then begin
+          enter w;
+          frames := (w, g.succs.(w)) :: !frames
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
+      | (v, []) :: up ->
+        frames := up;
+        (match up with
+        | (u, _) :: _ -> low.(u) <- min low.(u) low.(v)
+        | [] -> ());
+        if low.(v) = index.(v) then begin
+          let rec pop () =
+            match !stack with
+            | w :: tl ->
+              stack := tl;
+              on_stack.(w) <- false;
+              comp.(w) <- !ncomp;
+              if w <> v then pop ()
+            | [] -> ()
+          in
+          pop ();
+          incr ncomp
+        end
+    done
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then visit v
+  done;
+  comp
+
 (** Total delay around the heaviest recurrence per unit distance:
     max over cycles C of ceil(delay(C) / distance(C)).  0 when the graph
-    has no recurrence.  Computed by binary search on II: II is feasible
-    iff the graph with edge weights delay(src) - II*distance has no
-    positive-weight cycle (Bellman-Ford). *)
+    has no recurrence.  Every cycle lies inside one strongly connected
+    component, so each component is searched on its own edges: binary
+    search on II, where II is feasible iff the component with edge
+    weights delay(src) - II*distance has no positive-weight cycle
+    (Bellman-Ford). *)
 let recurrence_mii (g : t) : int =
-  let n = node_count g in
-  if n = 0 then 0
-  else begin
+  let comp = components g in
+  let inner = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let c = comp.(e.e_src) in
+      if c = comp.(e.e_dst) then
+        Hashtbl.replace inner c
+          (e :: Option.value ~default:[] (Hashtbl.find_opt inner c)))
+    g.edges;
+  let dist = Array.make (node_count g) 0 in
+  let size = Array.make (node_count g) 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) comp;
+  let component_mii c edges =
     let has_positive_cycle ii =
       (* Bellman-Ford longest-path from a virtual source: simple paths
-         have at most n-1 edges, so if the values still change after
-         n+1 relaxation passes, a positive-weight cycle exists *)
-      let dist = Array.make n 0 in
+         have at most size-1 edges, so if the values still change after
+         size+1 relaxation passes, a positive-weight cycle exists *)
+      List.iter (fun e -> dist.(e.e_src) <- 0; dist.(e.e_dst) <- 0) edges;
       let pass () =
         List.fold_left
           (fun changed e ->
@@ -132,13 +197,15 @@ let recurrence_mii (g : t) : int =
               true
             end
             else changed)
-          false g.edges
+          false edges
       in
-      let rec go k = if not (pass ()) then false else k > n || go (k + 1) in
+      let rec go k =
+        if not (pass ()) then false else k > size.(c) || go (k + 1)
+      in
       go 0
     in
     let max_ii =
-      Array.fold_left (fun a nd -> a + max 1 (g.delay_of nd.kind)) 1 g.nodes
+      List.fold_left (fun a e -> a + max 1 (delay g e.e_src)) 1 edges
     in
     if not (has_positive_cycle 0) then 0
     else begin
@@ -150,7 +217,8 @@ let recurrence_mii (g : t) : int =
       done;
       !lo
     end
-  end
+  in
+  Hashtbl.fold (fun c edges acc -> max acc (component_mii c edges)) inner 0
 
 let pp ppf (g : t) =
   Fmt.pf ppf "dfg: %d nodes, %d edges@\n" (node_count g) (List.length g.edges);

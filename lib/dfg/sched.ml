@@ -5,18 +5,16 @@
      iteration (the *original*, non-overlapped execution: the next
      iteration starts only when the current one finishes, so II equals
      the schedule length);
-   - [modulo_schedule]: iterative modulo scheduling for pipelined
-     execution: II = max(RecMII, ResMII) when the greedy placement
-     succeeds, growing II otherwise until it does (Rau-style IMS with a
-     bounded retry budget per II and an overall effort budget that
-     degrades to the list schedule instead of burning minutes);
-   - [optimal_schedule]: the exact oracle — a budgeted branch-and-bound
-     over the modulo reservation table that proves candidate IIs
-     infeasible or returns a witness, so the first feasible II is
-     certified optimal;
-   - [check_schedule]: the validity checker both backends (and the test
-     suites) use as a shared post-condition, written directly from the
-     constraint system rather than from either scheduler. *)
+   - [optimal_schedule]: the modulo scheduler for pipelined execution —
+     a budgeted branch-and-bound over the modulo reservation table that
+     proves candidate IIs infeasible or returns a witness, so the first
+     feasible II is certified optimal; [compact_registers] then
+     shortens value lifetimes without touching the II or the
+     reservation table.  An exhausted budget degrades to the list
+     schedule;
+   - [check_schedule]: the validity checker every schedule (and the
+     test suites) must pass, written directly from the constraint
+     system rather than from either scheduler. *)
 
 open Uas_ir
 
@@ -79,15 +77,6 @@ let list_schedule ?(cfg = default_config) (g : Graph.t) : schedule =
   let length = makespan g times in
   { s_ii = length; s_times = times; s_length = length }
 
-(* Check every edge constraint t(dst) >= t(src) + delay(src) - II*dist. *)
-let feasible (g : Graph.t) ~ii times =
-  List.for_all
-    (fun e ->
-      times.(e.Graph.e_dst)
-      >= times.(e.Graph.e_src) + Graph.delay g e.Graph.e_src
-         - (ii * e.Graph.e_distance))
-    g.Graph.edges
-
 (* ---- the validity checker (shared post-condition) ---- *)
 
 (** Verify a schedule against the raw constraint system — every
@@ -141,7 +130,7 @@ let check_schedule ?(cfg = default_config) (g : Graph.t) (s : schedule) :
   end;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
-(* ---- the longest-path solver shared by both backends ---- *)
+(* ---- the longest-path solver ---- *)
 
 exception Out_of_effort
 
@@ -213,127 +202,18 @@ let mem_nodes_of (g : Graph.t) : int list =
     (fun i -> Opinfo.uses_memory_port (Graph.node g i).kind)
     (List.init (Graph.node_count g) (fun i -> i))
 
-(* Modulo placement at a fixed II by constraint relaxation (an SDC-style
-   formulation): the Bellman-Ford solution satisfies every dependence by
-   construction; memory-port oversubscription of a modulo slot is
-   resolved by bumping the latest offender's lower bound and re-solving
-   incrementally (the re-solved fixpoint is identical to a from-scratch
-   solve, because the old fixpoint dominates every lower bound except
-   the bumped one), so dependences stay satisfied.  Bounded retries
-   keep it total. *)
-let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
-  let n = Graph.node_count g in
-  let mem_nodes = mem_nodes_of g in
-  let adj = succ_adj g ~ii in
-  let t = Array.make n 0 in
-  let max_rounds = n + 1 in
-  let budget = ref (64 + (List.length mem_nodes * ii * 4)) in
-  if not (relax_up ~effort ~max_rounds adj t (List.init n Fun.id)) then None
-  else begin
-    let rec solve () =
-      (* most-loaded oversubscribed modulo slot, if any *)
-      let slots = Array.make ii [] in
-      List.iter
-        (fun i ->
-          let s = ((t.(i) mod ii) + ii) mod ii in
-          slots.(s) <- i :: slots.(s))
-        mem_nodes;
-      let offender = ref None in
-      Array.iter
-        (fun nodes ->
-          if List.length nodes > cfg.mem_ports then begin
-            (* bump the latest-scheduled op in the slot: it has the most
-               slack left before wrapping all the way around *)
-            let latest =
-              List.fold_left
-                (fun best i ->
-                  match best with
-                  | None -> Some i
-                  | Some b -> if t.(i) > t.(b) then Some i else best)
-                None nodes
-            in
-            match (!offender, latest) with
-            | None, Some i -> offender := Some i
-            | _ -> ()
-          end)
-        slots;
-      match !offender with
-      | None -> Some t
-      | Some i ->
-        decr budget;
-        if !budget <= 0 then None
-        else begin
-          t.(i) <- t.(i) + 1;
-          if relax_up ~effort ~max_rounds adj t [ i ] then solve () else None
-        end
-    in
-    match solve () with
-    | Some t when feasible g ~ii t -> Some t
-    | Some _ | None -> None
-  end
-
-(* Generous enough that every benchmark × version of the paper suite
-   completes its full II search (the worst, Skipjack-mem jam(16), needs
-   a few million relaxations with the incremental solver); a graph that
-   would burn seconds instead degrades to the list schedule with a
-   note. *)
-let default_effort = 50_000_000
-
-(** Iterative modulo scheduling with the degradation note: find the
-    smallest feasible II at or above the recurrence/resource lower
-    bound.  Always succeeds — the acyclic list-schedule length is a
-    feasible fallback; when the [effort] budget (total edge relaxations
-    across the whole II search) runs out first, the fallback is
-    returned with a note saying so. *)
-let modulo_schedule_note ?(cfg = default_config) ?(effort = default_effort)
-    (g : Graph.t) : schedule * string option =
-  if Graph.node_count g = 0 then
-    ({ s_ii = 1; s_times = [||]; s_length = 1 }, None)
-  else begin
-    let fallback = list_schedule ~cfg g in
-    let lower = min_ii cfg g in
-    let fuel = ref effort in
-    let rec search ii =
-      if ii >= fallback.s_length then
-        ({ fallback with s_ii = max 1 fallback.s_length }, None)
-      else
-        match try_modulo cfg g ~effort:fuel ~ii with
-        | Some times ->
-          ({ s_ii = ii; s_times = times; s_length = makespan g times }, None)
-        | None -> search (ii + 1)
-        | exception Out_of_effort ->
-          ( { fallback with s_ii = max 1 fallback.s_length },
-            Some
-              (Printf.sprintf
-                 "modulo scheduling effort budget exhausted at II=%d; \
-                  degraded to the non-overlapped schedule (II=%d)"
-                 ii fallback.s_length) )
-    in
-    search lower
-  end
-
-(** Iterative modulo scheduling: find the smallest feasible II at or
-    above the recurrence/resource lower bound.  Always succeeds — the
-    acyclic list-schedule length is a feasible fallback. *)
-let modulo_schedule ?cfg ?effort (g : Graph.t) : schedule =
-  fst (modulo_schedule_note ?cfg ?effort g)
-
 (* ---- the exact backend ---- *)
 
-type exact_status = Exact_optimal | Exact_feasible | Exact_unknown
+type exact_status = Exact_optimal | Exact_feasible
 
 let exact_status_name = function
   | Exact_optimal -> "optimal"
   | Exact_feasible -> "feasible"
-  | Exact_unknown -> "unknown"
 
-type exact = {
-  e_status : exact_status;
-  e_schedule : schedule option;
-  e_min_ii : int;
-  e_proved : int;
-  e_expansions : int;
-  e_effort_exhausted : bool;
+type certificate = {
+  cert_status : exact_status;
+  cert_proved : int;
+  cert_expansions : int;
 }
 
 (* ceil(a / b) for b > 0 and either sign of a *)
@@ -746,114 +626,36 @@ let decide (cfg : config) (g : Graph.t) ~effort ~expansions ~ii =
     end
   end
 
-(* The exact search visits every II the heuristic visits, but each with
-   a full branch-and-bound rather than one greedy descent; the shared
-   relaxation budget is sized so all paper cells certify in well under
-   a second each. *)
-let default_exact_effort = 80_000_000
 
-(** The exact II oracle: iterate the candidate II upward from [min_ii],
-    proving each infeasible or returning a witness schedule, so the
-    first feasible II is certified optimal.  [witness], when given (the
-    heuristic's schedule), caps the search and is reported as a
-    non-certified fallback ([Exact_feasible]) if the [effort] budget
-    runs out mid-proof; with no witness the result degrades to
-    [Exact_unknown].  Deterministic: the budget counts edge
-    relaxations, not wall-clock. *)
-let optimal_schedule ?(cfg = default_config)
-    ?(effort = default_exact_effort) ?witness (g : Graph.t) : exact =
-  let lower = min_ii cfg g in
-  if Graph.node_count g = 0 then
-    { e_status = Exact_optimal;
-      e_schedule = Some { s_ii = 1; s_times = [||]; s_length = 1 };
-      e_min_ii = lower;
-      e_proved = 1;
-      e_expansions = 0;
-      e_effort_exhausted = false }
-  else begin
-    let fallback = list_schedule ~cfg g in
-    (* the list schedule is a valid modulo schedule at II = its length
-       (rows coincide with absolute cycles), so the search always
-       terminates with a witness *)
-    let cap =
-      match witness with
-      | Some (w : schedule) -> max lower (min w.s_ii fallback.s_length)
-      | None -> max lower fallback.s_length
-    in
-    let fuel = ref effort in
-    let expansions = ref 0 in
-    let finish ~proved ~exhausted =
-      let valid_witness =
-        match witness with
-        | Some w when w.s_ii >= proved -> (
-          match check_schedule ~cfg g w with Ok () -> Some w | Error _ -> None)
-        | _ -> None
-      in
-      match valid_witness with
-      | Some w ->
-        { e_status = Exact_feasible;
-          e_schedule = Some w;
-          e_min_ii = lower;
-          e_proved = proved;
-          e_expansions = !expansions;
-          e_effort_exhausted = exhausted }
-      | None ->
-        { e_status = Exact_unknown;
-          e_schedule = None;
-          e_min_ii = lower;
-          e_proved = proved;
-          e_expansions = !expansions;
-          e_effort_exhausted = exhausted }
-    in
-    let rec search ii =
-      if ii > cap then finish ~proved:ii ~exhausted:false
-      else
-        match decide cfg g ~effort:fuel ~expansions ~ii with
-        | `Feasible s ->
-          { e_status = Exact_optimal;
-            e_schedule = Some s;
-            e_min_ii = lower;
-            e_proved = ii;
-            e_expansions = !expansions;
-            e_effort_exhausted = false }
-        | `Infeasible -> search (ii + 1)
-        | exception Out_of_effort -> finish ~proved:ii ~exhausted:true
-    in
-    search lower
-  end
+(* ---- registers and the register-aware completion ---- *)
 
-(* ---- reporting ---- *)
-
-type exact_mode = Exact_off | Exact_check | Exact_report
-
-let exact_mode_name = function
-  | Exact_off -> "off"
-  | Exact_check -> "check"
-  | Exact_report -> "report"
-
-let exact_mode_of_string = function
-  | "off" -> Some Exact_off
-  | "check" -> Some Exact_check
-  | "report" -> Some Exact_report
-  | _ -> None
-
-(** Render the heuristic-vs-exact story of one cell, as the table
-    footnotes print it. *)
-let pp_gap ppf ((heuristic_ii : int), (e : exact)) =
-  match (e.e_status, e.e_schedule) with
-  | Exact_optimal, Some w ->
-    let gap = heuristic_ii - w.s_ii in
-    if gap < 0 then
-      Fmt.pf ppf
-        "SOUNDNESS VIOLATION: heuristic II %d below certified optimum %d"
-        heuristic_ii w.s_ii
-    else
-      Fmt.pf ppf "optimal II %d, gap %d (certified, %d expansions)" w.s_ii gap
-        e.e_expansions
-  | Exact_feasible, Some w ->
-    Fmt.pf ppf "optimal II in [%d, %d], gap <= %d (budget)" e.e_proved w.s_ii
-      (heuristic_ii - e.e_proved)
-  | _ -> Fmt.pf ppf "gap unknown (budget)"
+(* Registers node [i] needs under issue times [t] at [ii]: the
+   per-node term of {!register_estimate}. *)
+let node_registers (g : Graph.t) ~ii (t : int array) i =
+  let produced_at = t.(i) + Graph.delay g i in
+  let last_use =
+    List.fold_left
+      (fun m (d, dist) -> max m (t.(d) + (ii * dist)))
+      produced_at g.Graph.succs.(i)
+  in
+  let lifetime = last_use - produced_at in
+  (* zero-lifetime values are consumed combinationally (no register);
+     stored values need floor(lifetime/II) + 1 — floor plus one, not
+     ceiling: when the lifetime is an exact multiple of the II, the
+     next iteration's result arrives on the very edge of the last read
+     and a further buffer register is required (found by the
+     cycle-accurate simulator's hazard check) *)
+  let windows = if lifetime = 0 then 0 else (lifetime / ii) + 1 in
+  match (Graph.node g i).kind with
+  | Opinfo.Op_move ->
+    (* a move IS a register write: at least one register, more when
+       the value stays live across several initiation windows *)
+    max 1 windows
+  | Opinfo.Op_const -> 0
+  | _ ->
+    (* a computed value needs one register per II-window it stays
+       live; a value consumed the cycle it appears needs none *)
+    if g.Graph.succs.(i) <> [] then windows else 0
 
 (** Number of hardware registers implied by a schedule: one per register
     source / move node, plus, for every produced value, the number of
@@ -861,36 +663,152 @@ let pp_gap ppf ((heuristic_ii : int), (e : exact)) =
     value alive for more than one II needs a new register per in-flight
     iteration). *)
 let register_estimate (g : Graph.t) (s : schedule) : int =
-  let n = Graph.node_count g in
   let regs = ref 0 in
-  for i = 0 to n - 1 do
-    let kind = (Graph.node g i).kind in
-    let produced_at = s.s_times.(i) + Graph.delay g i in
-    let last_use =
-      List.fold_left
-        (fun m (d, dist) -> max m (s.s_times.(d) + (s.s_ii * dist)))
-        produced_at g.Graph.succs.(i)
-    in
-    let lifetime = last_use - produced_at in
-    (* zero-lifetime values are consumed combinationally (no register);
-       stored values need floor(lifetime/II) + 1 — floor plus one, not
-       ceiling: when the lifetime is an exact multiple of the II, the
-       next iteration's result arrives on the very edge of the last
-       read and a further buffer register is required (found by the
-       cycle-accurate simulator's hazard check) *)
-    let windows = if lifetime = 0 then 0 else (lifetime / s.s_ii) + 1 in
-    (match kind with
-    | Opinfo.Op_move ->
-      (* a move IS a register write: at least one register, more when
-         the value stays live across several initiation windows *)
-      regs := !regs + max 1 windows
-    | Opinfo.Op_const -> ()
-    | _ ->
-      (* a computed value needs one register per II-window it stays
-         live; a value consumed the cycle it appears needs none *)
-      if g.Graph.succs.(i) <> [] then regs := !regs + windows)
+  for i = 0 to Graph.node_count g - 1 do
+    regs := !regs + node_registers g ~ii:s.s_ii s.s_times i
   done;
   !regs
+
+(* The register-aware completion step.  [decide] anchors every memory
+   node at r + II*k and gives every other node its least fixpoint, so
+   values are computed as early as possible and then wait, in
+   registers, for late consumers.  This local search keeps the II and
+   every memory residue (hence the reservation table) and moves one
+   node at a time: a non-memory node by single cycles, a memory node by
+   whole IIs, never outside [0, makespan - delay] and never across a
+   dependence.  A node moves to the reachable time that minimises the
+   registers of the node and its producers (the only terms of
+   {!register_estimate} that depend on its issue time), the earliest on
+   ties, and only when that is strictly fewer than where it is — so
+   every move lowers the total and the search terminates.  The result
+   is re-checked; a failed check (a bug) keeps the input schedule. *)
+let compact_registers ?(cfg = default_config) (g : Graph.t) (s : schedule) :
+    schedule =
+  let n = Graph.node_count g in
+  let ii = s.s_ii in
+  let t = Array.copy s.s_times in
+  let producers =
+    Array.init n (fun v ->
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (p, _) -> if p <> v then Some p else None)
+             g.Graph.preds.(v)))
+  in
+  let local v =
+    List.fold_left
+      (fun acc p -> acc + node_registers g ~ii t p)
+      (node_registers g ~ii t v) producers.(v)
+  in
+  let moved = ref true in
+  while !moved do
+    moved := false;
+    for v = 0 to n - 1 do
+      let d = Graph.delay g v in
+      let lo = ref 0 and hi = ref (s.s_length - d) in
+      List.iter
+        (fun (p, dist) ->
+          if p <> v then lo := max !lo (t.(p) + Graph.delay g p - (ii * dist)))
+        g.Graph.preds.(v);
+      List.iter
+        (fun (q, dist) ->
+          if q <> v then hi := min !hi (t.(q) - d + (ii * dist)))
+        g.Graph.succs.(v);
+      let step =
+        if Opinfo.uses_memory_port (Graph.node g v).kind then ii else 1
+      in
+      let t0 = t.(v) in
+      let best = ref (local v) and best_t = ref t0 in
+      let tau = ref (t0 - (step * ((t0 - !lo) / step))) in
+      while !tau <= !hi do
+        if !tau <> t0 then begin
+          t.(v) <- !tau;
+          let c = local v in
+          if c < !best then begin
+            best := c;
+            best_t := !tau
+          end
+        end;
+        tau := !tau + step
+      done;
+      t.(v) <- !best_t;
+      if !best_t <> t0 then moved := true
+    done
+  done;
+  let s' = { s_ii = ii; s_times = t; s_length = makespan g t } in
+  match check_schedule ~cfg g s' with Ok () -> s' | Error _ -> s
+
+(* The shared relaxation budget of one II search, sized so every paper
+   cell certifies in well under a second; a graph that would burn
+   seconds degrades to the list schedule instead. *)
+let default_exact_effort = 80_000_000
+
+(** The modulo scheduler: iterate the candidate II upward from
+    [min_ii], proving each infeasible or returning a witness, so the
+    first feasible II is certified optimal; the witness then goes
+    through {!compact_registers} unless [compact] is false.  The list
+    schedule is a valid modulo schedule at II = its length, so the
+    search stops there at the latest.  When the [effort] budget (edge
+    relaxations, deterministic) runs out first, the list schedule is
+    returned uncompacted with an [Exact_feasible] certificate. *)
+let optimal_schedule ?(cfg = default_config) ?(effort = default_exact_effort)
+    ?(compact = true) (g : Graph.t) : schedule * certificate =
+  let lower = min_ii cfg g in
+  let expansions = ref 0 in
+  let cert status proved =
+    { cert_status = status;
+      cert_proved = proved;
+      cert_expansions = !expansions }
+  in
+  if Graph.node_count g = 0 then
+    ({ s_ii = 1; s_times = [||]; s_length = 1 }, cert Exact_optimal 1)
+  else begin
+    let fallback = list_schedule ~cfg g in
+    let fuel = ref effort in
+    let finish ii s =
+      let s = if compact then compact_registers ~cfg g s else s in
+      (s, cert Exact_optimal ii)
+    in
+    let rec search ii =
+      if ii >= fallback.s_length then finish ii fallback
+      else
+        match decide cfg g ~effort:fuel ~expansions ~ii with
+        | `Feasible s -> finish ii s
+        | `Infeasible -> search (ii + 1)
+        | exception Out_of_effort -> (fallback, cert Exact_feasible ii)
+    in
+    search lower
+  end
+
+let degradation_note (s : schedule) (c : certificate) : string option =
+  match c.cert_status with
+  | Exact_optimal -> None
+  | Exact_feasible ->
+    Some
+      (Printf.sprintf
+         "modulo scheduling effort budget exhausted at II=%d; degraded to \
+          the non-overlapped schedule (II=%d)"
+         c.cert_proved s.s_ii)
+
+(* ---- reporting ---- *)
+
+type exact_mode = Exact_off | Exact_report
+
+let exact_mode_name = function Exact_off -> "off" | Exact_report -> "report"
+
+let exact_mode_of_string = function
+  | "off" -> Some Exact_off
+  | "report" -> Some Exact_report
+  | _ -> None
+
+let pp_certificate ppf c =
+  match c.cert_status with
+  | Exact_optimal ->
+    Fmt.pf ppf "optimal II %d (certified, %d expansions)" c.cert_proved
+      c.cert_expansions
+  | Exact_feasible ->
+    Fmt.pf ppf
+      "II >= %d, not certified (effort budget exhausted, %d expansions)"
+      c.cert_proved c.cert_expansions
 
 let pp_schedule ppf s =
   Fmt.pf ppf "II=%d length=%d" s.s_ii s.s_length
@@ -907,87 +825,53 @@ let ( let* ) = Option.bind
 let exact_status_of_name = function
   | "optimal" -> Some Exact_optimal
   | "feasible" -> Some Exact_feasible
-  | "unknown" -> Some Exact_unknown
   | _ -> None
 
-let strip_field ~name s =
-  let prefix = name ^ "=" in
+(* the value of a "name:value" field *)
+let field ~name s =
+  let prefix = name ^ ":" in
   let np = String.length prefix in
   if String.length s >= np && String.equal (String.sub s 0 np) prefix then
     Some (String.sub s np (String.length s - np))
   else None
 
-let int_field ~name s =
-  let* v = strip_field ~name s in
-  int_of_string_opt v
-
-(* a schedule as one space-free token, so it embeds in the exact form *)
-let sched_atom s =
-  Printf.sprintf "ii:%d;len:%d;times:%s" s.s_ii s.s_length
+let schedule_to_string s =
+  Printf.sprintf "sched 1 ii:%d;len:%d;times:%s" s.s_ii s.s_length
     (String.concat "," (List.map string_of_int (Array.to_list s.s_times)))
-
-let sched_of_atom str =
-  let sub ~name s =
-    let prefix = name ^ ":" in
-    let np = String.length prefix in
-    if String.length s >= np && String.equal (String.sub s 0 np) prefix then
-      Some (String.sub s np (String.length s - np))
-    else None
-  in
-  match String.split_on_char ';' str with
-  | [ ii_f; len_f; times_f ] ->
-    let* ii = Option.bind (sub ~name:"ii" ii_f) int_of_string_opt in
-    let* len = Option.bind (sub ~name:"len" len_f) int_of_string_opt in
-    let* times_s = sub ~name:"times" times_f in
-    let parts =
-      if String.equal times_s "" then []
-      else String.split_on_char ',' times_s
-    in
-    let times = List.map int_of_string_opt parts in
-    if List.exists Option.is_none times then None
-    else
-      Some
-        { s_ii = ii;
-          s_length = len;
-          s_times = Array.of_list (List.map Option.get times) }
-  | _ -> None
-
-let schedule_to_string s = "sched 1 " ^ sched_atom s
 
 let schedule_of_string str =
   match String.split_on_char ' ' str with
-  | [ "sched"; "1"; atom ] -> sched_of_atom atom
+  | [ "sched"; "1"; atom ] -> (
+    match String.split_on_char ';' atom with
+    | [ ii_f; len_f; times_f ] ->
+      let* ii = Option.bind (field ~name:"ii" ii_f) int_of_string_opt in
+      let* len = Option.bind (field ~name:"len" len_f) int_of_string_opt in
+      let* times_s = field ~name:"times" times_f in
+      let parts =
+        if String.equal times_s "" then []
+        else String.split_on_char ',' times_s
+      in
+      let times = List.map int_of_string_opt parts in
+      if List.exists Option.is_none times then None
+      else
+        Some
+          { s_ii = ii;
+            s_length = len;
+            s_times = Array.of_list (List.map Option.get times) }
+    | _ -> None)
   | _ -> None
 
-let exact_to_string e =
-  Printf.sprintf "exact 1 status=%s min=%d proved=%d exp=%d exh=%b sched=%s"
-    (exact_status_name e.e_status)
-    e.e_min_ii e.e_proved e.e_expansions e.e_effort_exhausted
-    (match e.e_schedule with None -> "-" | Some s -> sched_atom s)
+(* positional, to keep one entry per schedule small *)
+let certificate_to_string c =
+  Printf.sprintf "cert 1 %s %d %d"
+    (exact_status_name c.cert_status)
+    c.cert_proved c.cert_expansions
 
-let exact_of_string str =
+let certificate_of_string str =
   match String.split_on_char ' ' str with
-  | [ "exact"; "1"; st_f; min_f; proved_f; exp_f; exh_f; sched_f ] ->
-    let* status = Option.bind (strip_field ~name:"status" st_f) exact_status_of_name in
-    let* min_ii = int_field ~name:"min" min_f in
-    let* proved = int_field ~name:"proved" proved_f in
-    let* expansions = int_field ~name:"exp" exp_f in
-    let* exhausted =
-      Option.bind (strip_field ~name:"exh" exh_f) bool_of_string_opt
-    in
-    let* sched_s = strip_field ~name:"sched" sched_f in
-    let* sched =
-      if String.equal sched_s "-" then Some None
-      else
-        match sched_of_atom sched_s with
-        | Some s -> Some (Some s)
-        | None -> None
-    in
-    Some
-      { e_status = status;
-        e_schedule = sched;
-        e_min_ii = min_ii;
-        e_proved = proved;
-        e_expansions = expansions;
-        e_effort_exhausted = exhausted }
+  | [ "cert"; "1"; status; proved; expansions ] ->
+    let* cert_status = exact_status_of_name status in
+    let* cert_proved = int_of_string_opt proved in
+    let* cert_expansions = int_of_string_opt expansions in
+    Some { cert_status; cert_proved; cert_expansions }
   | _ -> None

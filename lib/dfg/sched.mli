@@ -2,13 +2,16 @@
     datapath's memory-port budget.
 
     [list_schedule] models the original, non-overlapped execution (II =
-    schedule length); [modulo_schedule] the pipelined one (iterative
-    modulo scheduling by SDC-style constraint relaxation, II =
-    max(RecMII, ResMII) when placement succeeds, growing otherwise);
-    [optimal_schedule] is the exact second oracle (branch-and-bound
-    over the modulo reservation table, certifying the first feasible
-    II); [check_schedule] validates any schedule against the raw
-    constraint system, independently of every backend. *)
+    schedule length).  [optimal_schedule] is the one modulo scheduler
+    for pipelined execution: a branch-and-bound over the modulo
+    reservation table that iterates the II upward from [min_ii], proves
+    each candidate infeasible or returns a witness, and so certifies
+    the first feasible II optimal.  A register-aware completion step
+    ([compact_registers]) then shortens value lifetimes at that II.
+    When the deterministic effort budget runs out first, the list
+    schedule is the fallback.  [check_schedule] validates any schedule
+    against the raw constraint system, independently of both
+    schedulers. *)
 
 type config = { mem_ports : int (** references per clock; §6.1 uses 2 *) }
 
@@ -35,76 +38,65 @@ val list_schedule : ?cfg:config -> Graph.t -> schedule
     every modulo reservation row (at most [mem_ports] memory ops per
     residue class mod II), non-negative issue times, and makespan
     consistency.  [Error] carries one message per violated constraint.
-    Shared post-condition for all three scheduling backends. *)
+    The always-on post-condition of the [schedule] pass. *)
 val check_schedule :
   ?cfg:config -> Graph.t -> schedule -> (unit, string list) result
 
-(** Smallest feasible pipelined II at or above [min_ii]; the acyclic
-    schedule length is a guaranteed fallback.  [effort] bounds the
-    total number of edge relaxations across the whole II search
-    (deterministic, not wall-clock); exhausting it degrades to the
-    fallback. *)
-val modulo_schedule : ?cfg:config -> ?effort:int -> Graph.t -> schedule
-
-(** [modulo_schedule] plus the degradation note: [Some message] when
-    the effort budget ran out and the non-overlapped fallback was
-    returned in place of a pipelined schedule. *)
-val modulo_schedule_note :
-  ?cfg:config -> ?effort:int -> Graph.t -> schedule * string option
-
-(** Default effort budget of {!modulo_schedule} (edge relaxations). *)
-val default_effort : int
-
-(** Verdict of the exact backend. *)
+(** Verdict of the modulo scheduler. *)
 type exact_status =
   | Exact_optimal  (** witness at the first feasible II: certified *)
   | Exact_feasible
-      (** budget ran out mid-proof, but a validated witness bounds the
-          optimum within [[e_proved, witness II]] *)
-  | Exact_unknown  (** budget ran out and no witness is available *)
+      (** the budget ran out mid-proof: the schedule is the list
+          fallback and the optimum lies in [[cert_proved, its II]] *)
 
 val exact_status_name : exact_status -> string
 
-type exact = {
-  e_status : exact_status;
-  e_schedule : schedule option;
-      (** the certified witness ([Exact_optimal]) or the supplied
-          fallback witness ([Exact_feasible]) *)
-  e_min_ii : int;  (** the recurrence/resource lower bound *)
-  e_proved : int;
-      (** smallest II NOT proven infeasible: every II below it was
-          refuted by exhaustive search *)
-  e_expansions : int;  (** branch-and-bound nodes expanded *)
-  e_effort_exhausted : bool;
+(** What the search proved about the II of the schedule it returned. *)
+type certificate = {
+  cert_status : exact_status;
+  cert_proved : int;
+      (** smallest II not proven infeasible: every II below it was
+          refuted by exhaustive search (= the II when optimal) *)
+  cert_expansions : int;  (** branch-and-bound nodes expanded *)
 }
 
-(** The exact II oracle: iterate candidate IIs upward from {!min_ii},
-    proving each infeasible (branch-and-bound over the modulo residues
-    of the memory operations, bounded by a compression-argument
-    horizon) or returning a witness schedule, so the first feasible II
-    is certified optimal.  [witness] (typically the heuristic's
-    schedule) caps the search and, if the deterministic [effort] budget
-    runs out mid-proof, is revalidated and reported as [Exact_feasible]
-    with the optimum bracketed; without one the result degrades to
-    [Exact_unknown]. *)
+(** The modulo scheduler.  Deterministic: the [effort] budget counts
+    edge relaxations, not wall-clock.  [compact] (default true) runs
+    {!compact_registers} on the certified witness; the tests turn it
+    off to compare against the raw witness. *)
 val optimal_schedule :
-  ?cfg:config -> ?effort:int -> ?witness:schedule -> Graph.t -> exact
+  ?cfg:config ->
+  ?effort:int ->
+  ?compact:bool ->
+  Graph.t ->
+  schedule * certificate
 
 (** Default effort budget of {!optimal_schedule} (edge relaxations). *)
 val default_exact_effort : int
 
-(** How much exact scheduling the pipelines run: [Exact_off] — none
-    (the default); [Exact_check] — validate the heuristic schedule
-    with {!check_schedule} only; [Exact_report] — also run
-    {!optimal_schedule} and report the optimality gap. *)
-type exact_mode = Exact_off | Exact_check | Exact_report
+(** The register-aware completion step: with the II and every memory
+    node's residue fixed (so the reservation table is unchanged),
+    move single nodes — non-memory ones by cycles, memory ones by whole
+    IIs — inside the schedule's makespan and its dependences whenever
+    that lowers the registers of the node and its producers.  Never
+    raises {!register_estimate} or the makespan; the result passes
+    {!check_schedule} (the input is returned if it would not). *)
+val compact_registers : ?cfg:config -> Graph.t -> schedule -> schedule
+
+(** [Some message] when the certificate records an exhausted budget,
+    i.e. the schedule is the non-overlapped fallback. *)
+val degradation_note : schedule -> certificate -> string option
+
+(** Whether the pipelines render each pipelined cell's certificate as
+    an [exact:] footnote ([Exact_report]) or not ([Exact_off], the
+    default).  Scheduling is the same either way. *)
+type exact_mode = Exact_off | Exact_report
 
 val exact_mode_name : exact_mode -> string
 val exact_mode_of_string : string -> exact_mode option
 
-(** Render one cell's heuristic-vs-exact story, as the table footnotes
-    print it: certified gap, bracketed gap, or unknown (budget). *)
-val pp_gap : (int * exact) Fmt.t
+(** One certificate as the footnotes print it. *)
+val pp_certificate : certificate Fmt.t
 
 (** Hardware registers implied by a schedule: one per move node plus
     one per II-window each computed value stays live (modulo variable
@@ -121,5 +113,5 @@ val pp_schedule : schedule Fmt.t
 
 val schedule_to_string : schedule -> string
 val schedule_of_string : string -> schedule option
-val exact_to_string : exact -> string
-val exact_of_string : string -> exact option
+val certificate_to_string : certificate -> string
+val certificate_of_string : string -> certificate option

@@ -6,7 +6,7 @@
    loop mapped to the datapath), the estimator:
    1. locates the loop and builds the DFG of its straight-line body;
    2. schedules it — resource-constrained list scheduling for a
-      non-overlapped design, iterative modulo scheduling for a
+      non-overlapped design, certified-optimal modulo scheduling for a
       pipelined one — giving the initiation interval;
    3. counts operators, operator rows, memory references and registers;
    4. derives the total kernel execution time from the static trip
@@ -94,47 +94,29 @@ let kernel_detail ?(target = Datapath.default) (p : Stmt.program) ~index :
     raise
       (Not_a_kernel
          (Printf.sprintf "kernel %s body is not a single basic block" index));
-  Uas_runtime.Instrument.span "dfg-build" (fun () ->
-      Build.build_detailed ~delay_of:target.Datapath.delay_of
-        ~inner_index:l.index l.body)
+  Build.build_detailed ~delay_of:target.Datapath.delay_of ~inner_index:l.index
+    l.body
 
 (** Stage 2: schedule the kernel DFG under the target's port budget.
-    The returned note, when present, says the modulo scheduler's effort
-    budget ran out and the non-overlapped fallback was substituted
-    (counted as [sched.effort-degraded]). *)
-let kernel_schedule_note ?(target = Datapath.default) ?(pipelined = true)
-    (detail : Build.detailed) : Sched.schedule * string option =
+    A pipelined kernel also gets the modulo scheduler's certificate; a
+    certificate that records an exhausted effort budget (the
+    non-overlapped fallback was substituted) counts as
+    [sched.effort-degraded].  No span of its own: the caller's
+    ([pass.schedule], [estimate]) covers it. *)
+let kernel_schedule_cert ?(target = Datapath.default) ?(pipelined = true)
+    (detail : Build.detailed) : Sched.schedule * Sched.certificate option =
   let cfg = Datapath.sched_config target in
-  Uas_runtime.Instrument.span "schedule" (fun () ->
-      if pipelined then begin
-        let s, note = Sched.modulo_schedule_note ~cfg detail.Build.d_graph in
-        if Option.is_some note then
-          Uas_runtime.Instrument.incr "sched.effort-degraded";
-        (s, note)
-      end
-      else (Sched.list_schedule ~cfg detail.Build.d_graph, None))
+  if pipelined then begin
+    let s, cert = Sched.optimal_schedule ~cfg detail.Build.d_graph in
+    if cert.Sched.cert_status <> Sched.Exact_optimal then
+      Uas_runtime.Instrument.incr "sched.effort-degraded";
+    (s, Some cert)
+  end
+  else (Sched.list_schedule ~cfg detail.Build.d_graph, None)
 
 let kernel_schedule ?target ?pipelined (detail : Build.detailed) :
     Sched.schedule =
-  fst (kernel_schedule_note ?target ?pipelined detail)
-
-(** The exact second oracle on a kernel DFG: {!Uas_dfg.Sched.optimal_schedule}
-    under a [schedule.exact] span, with the verdict and search size
-    published as [sched.exact.*] counters.  [witness] (typically the
-    heuristic schedule) caps the search and keeps a budget-exhausted
-    run bracketed instead of unknown. *)
-let kernel_exact ?(target = Datapath.default) ?effort ?witness
-    (detail : Build.detailed) : Sched.exact =
-  let cfg = Datapath.sched_config target in
-  Uas_runtime.Instrument.span "schedule.exact" (fun () ->
-      let e =
-        Sched.optimal_schedule ~cfg ?effort ?witness detail.Build.d_graph
-      in
-      Uas_runtime.Instrument.incr
-        ("sched.exact." ^ Sched.exact_status_name e.Sched.e_status);
-      Uas_runtime.Instrument.incr ~by:e.Sched.e_expansions
-        "sched.exact.expansions";
-      e)
+  fst (kernel_schedule_cert ?target ?pipelined detail)
 
 (** Stage 3: derive the report from the DFG and its schedule. *)
 let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
@@ -182,7 +164,7 @@ let operator_area_fraction (r : report) : float =
 
 (* ---- serialization (artifact store) ---- *)
 
-let cost_model_version = 1
+let cost_model_version = 2
 
 (* [name] goes last, after a fixed field count, so the (arbitrary)
    report name needs no escaping: everything after " name=" is it *)

@@ -46,27 +46,16 @@ val kernel_schedule :
   Uas_dfg.Build.detailed ->
   Uas_dfg.Sched.schedule
 
-(** [kernel_schedule] plus the degradation note: [Some message] when
-    the modulo scheduler's effort budget ran out and the
-    non-overlapped fallback was substituted (also counted as
-    [sched.effort-degraded]). *)
-val kernel_schedule_note :
+(** [kernel_schedule] plus, for a pipelined kernel, the modulo
+    scheduler's certificate ({!Uas_dfg.Sched.optimal_schedule}).  A
+    certificate recording an exhausted effort budget — the
+    non-overlapped fallback was substituted — also counts as
+    [sched.effort-degraded]. *)
+val kernel_schedule_cert :
   ?target:Datapath.t ->
   ?pipelined:bool ->
   Uas_dfg.Build.detailed ->
-  Uas_dfg.Sched.schedule * string option
-
-(** The exact second II oracle ({!Uas_dfg.Sched.optimal_schedule})
-    on a kernel DFG, run under a [schedule.exact] instrumentation span;
-    the verdict lands in the [sched.exact.<status>] counters and the
-    branch-and-bound size in [sched.exact.expansions].  [witness]
-    (typically the heuristic schedule) caps the search. *)
-val kernel_exact :
-  ?target:Datapath.t ->
-  ?effort:int ->
-  ?witness:Uas_dfg.Sched.schedule ->
-  Uas_dfg.Build.detailed ->
-  Uas_dfg.Sched.exact
+  Uas_dfg.Sched.schedule * Uas_dfg.Sched.certificate option
 
 (** Derive the report from a kernel DFG and its schedule.
     @raise Not_a_kernel when the trip counts are dynamic. *)
@@ -98,10 +87,12 @@ val operator_area_fraction : report -> float
 
 (** {2 Serialization (artifact store)} *)
 
-(** Version of the area/delay cost model; hashed into every estimate
+(** Version of the cost model; hashed into every schedule, estimate
     and planner-row cache key, so cost-model changes invalidate cached
-    reports.  Bump it whenever {!Datapath} tables, the register
-    estimator or the report derivation change meaning. *)
+    artifacts.  Bump it whenever {!Datapath} tables, the scheduler, the
+    register estimator or the report derivation change meaning.
+    Version 2: the certified-optimal modulo scheduler with
+    register-aware completion. *)
 val cost_model_version : int
 
 (** Versioned single-line form; [report_of_string] returns [None] on

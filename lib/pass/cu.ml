@@ -42,7 +42,7 @@ type t = {
     option;
   mutable c_dfg : Uas_dfg.Build.detailed option;
   mutable c_schedule : Uas_dfg.Sched.schedule option;
-  mutable c_exact : Uas_dfg.Sched.exact option;
+  mutable c_certificate : Uas_dfg.Sched.certificate option;
   mutable c_report : Uas_hw.Estimate.report option;
   mutable c_compiled : Fast_interp.compiled option;
   mutable c_native : (Native_interp.compiled, string) result option;
@@ -73,7 +73,7 @@ let make p ~outer_index ~inner_index =
     c_dependence = None;
     c_dfg = None;
     c_schedule = None;
-    c_exact = None;
+    c_certificate = None;
     c_report = None;
     c_compiled = None;
     c_native = None;
@@ -101,7 +101,7 @@ let with_program ?(preserves = []) ?outer_index ?inner_index cu p =
     (* downstream artifacts never survive a program change *)
     c_dfg = None;
     c_schedule = None;
-    c_exact = None;
+    c_certificate = None;
     c_report = None;
     c_compiled = None;
     c_native = None;
@@ -163,9 +163,11 @@ let dependence cu =
 let dfg cu = cu.c_dfg
 let set_dfg cu d = cu.c_dfg <- Some d
 let schedule cu = cu.c_schedule
-let set_schedule cu s = cu.c_schedule <- Some s
-let exact cu = cu.c_exact
-let set_exact cu e = cu.c_exact <- Some e
+let certificate cu = cu.c_certificate
+
+let set_schedule ?certificate cu s =
+  cu.c_schedule <- Some s;
+  cu.c_certificate <- certificate
 let report cu = cu.c_report
 let set_report cu r = cu.c_report <- Some r
 

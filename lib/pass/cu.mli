@@ -89,13 +89,14 @@ val dependence :
 val dfg : t -> Uas_dfg.Build.detailed option
 val set_dfg : t -> Uas_dfg.Build.detailed -> unit
 val schedule : t -> Uas_dfg.Sched.schedule option
-val set_schedule : t -> Uas_dfg.Sched.schedule -> unit
 
-(** The exact-II oracle's verdict ({!Uas_pass.Stages.exact_ii}):
-    memoized like the schedule, invalidated by {!with_program}. *)
-val exact : t -> Uas_dfg.Sched.exact option
+(** The modulo scheduler's certificate for the schedule artifact
+    ([None] on a list-scheduled kernel or before scheduling). *)
+val certificate : t -> Uas_dfg.Sched.certificate option
 
-val set_exact : t -> Uas_dfg.Sched.exact -> unit
+(** Set the schedule artifact together with its certificate. *)
+val set_schedule :
+  ?certificate:Uas_dfg.Sched.certificate -> t -> Uas_dfg.Sched.schedule -> unit
 val report : t -> Uas_hw.Estimate.report option
 val set_report : t -> Uas_hw.Estimate.report -> unit
 
@@ -142,7 +143,7 @@ val incidents : t -> Diag.t list
 (** {2 The persistent artifact store}
 
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
-    (kernel schedule, exact-II certificate, hardware estimate, planner
+    (kernel schedule with its certificate, hardware estimate, planner
     row) is keyed by a content hash of its full provenance — the
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
     rewrite trail that produced it, the caller's [context] parts

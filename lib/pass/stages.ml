@@ -52,18 +52,19 @@ let ensure_dfg ~target cu =
 
 (* ---- persistent-store payloads and contexts ----
 
-   The schedule payload carries the degradation note alongside the
-   schedule itself, so a warm run replays the effort-exhausted incident
-   and renders footers byte-identical to the cold run.  The context
-   lists hash everything the computation depends on besides the program
-   text and rewrite trail (which Cu.store_key adds): which loop is the
-   kernel, the datapath, the pipelining flag, effort budgets and — for
-   reports — the cost-model version and the report name. *)
+   The schedule payload carries the modulo scheduler's certificate
+   alongside the schedule itself, so a warm run replays an
+   effort-exhausted incident and renders [exact:] footnotes
+   byte-identical to the cold run.  The context lists hash everything
+   the computation depends on besides the program text and rewrite
+   trail (which Cu.store_key adds): which loop is the kernel, the
+   datapath, the pipelining flag, the effort budget, the cost-model
+   version and — for reports — the report name. *)
 
-let schedule_payload (s, note) =
-  (match note with
-  | None -> "note -"
-  | Some m -> "note " ^ String.escaped m)
+let schedule_payload (s, cert) =
+  (match cert with
+  | None -> "cert -"
+  | Some c -> Uas_dfg.Sched.certificate_to_string c)
   ^ "\n"
   ^ Uas_dfg.Sched.schedule_to_string s
 
@@ -73,34 +74,44 @@ let schedule_of_payload payload =
   | Some i -> (
     let first = String.sub payload 0 i in
     let rest = String.sub payload (i + 1) (String.length payload - i - 1) in
-    let note =
-      if String.equal first "note -" then Some None
-      else if
-        String.length first > 5 && String.equal (String.sub first 0 5) "note "
-      then
-        match Scanf.unescaped (String.sub first 5 (String.length first - 5)) with
-        | m -> Some (Some m)
-        | exception _ -> None
-      else None
+    let cert =
+      if String.equal first "cert -" then Some None
+      else Option.map Option.some (Uas_dfg.Sched.certificate_of_string first)
     in
-    match (note, Uas_dfg.Sched.schedule_of_string rest) with
-    | Some note, Some s -> Some (s, note)
+    match (cert, Uas_dfg.Sched.schedule_of_string rest) with
+    | Some cert, Some s -> Some (s, cert)
     | _ -> None)
 
 let schedule_context ~target ~pipelined cu =
   [ "target=" ^ Datapath.fingerprint target;
     "kernel=" ^ Cu.inner_index cu;
     "pipelined=" ^ string_of_bool pipelined;
-    "effort=" ^ string_of_int Uas_dfg.Sched.default_effort ]
+    "effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort;
+    "cost-model=" ^ string_of_int Estimate.cost_model_version ]
 
-let exact_context ~target ~pipelined cu =
-  schedule_context ~target ~pipelined cu
-  @ [ "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
+(* The [schedule] pass's post-condition, on fresh and cached schedules
+   alike: a schedule the checker rejects (a scheduler bug, or a store
+   entry that decodes to a wrong schedule) is replaced by the list
+   schedule, with the violations on record. *)
+let checked ~target cu (detail : Uas_dfg.Build.detailed) (s, cert) =
+  let cfg = Datapath.sched_config target in
+  match Uas_dfg.Sched.check_schedule ~cfg detail.Uas_dfg.Build.d_graph s with
+  | Ok () -> (s, cert)
+  | Error msgs ->
+    List.iter
+      (fun m ->
+        Cu.add_incident cu
+          (Diag.errorf ~pass:"schedule"
+             "schedule invalid: %s; degraded to the non-overlapped schedule"
+             m))
+      msgs;
+    (Uas_dfg.Sched.list_schedule ~cfg detail.Uas_dfg.Build.d_graph, None)
 
 let ensure_schedule ~target ~pipelined cu =
   match Cu.schedule cu with
   | Some s -> s
-  | None -> (
+  | None ->
+    let detail = ensure_dfg ~target cu in
     let context = schedule_context ~target ~pipelined cu in
     let cached =
       match Cu.store_get cu ~kind:"schedule" ~context with
@@ -112,55 +123,27 @@ let ensure_schedule ~target ~pipelined cu =
           Cu.store_undecodable cu ~kind:"schedule";
           None)
     in
-    match cached with
-    | Some (s, note) ->
-      (* replay the degradation note, so a warm cell footnotes exactly
-         like the cold one did *)
-      (match note with
-      | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
-      | None -> ());
-      Cu.set_schedule cu s;
-      s
-    | None ->
-      let s, note =
-        Estimate.kernel_schedule_note ~target ~pipelined
-          (ensure_dfg ~target cu)
-      in
-      (* an exhausted effort budget degrades the cell, it never hangs
-         the sweep: the note becomes a footnoted incident on the unit *)
-      (match note with
-      | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
-      | None -> ());
-      Cu.store_put cu ~kind:"schedule" ~context (schedule_payload (s, note));
-      Cu.set_schedule cu s;
-      s)
-
-let ensure_exact ~target ~pipelined cu =
-  match Cu.exact cu with
-  | Some e -> e
-  | None -> (
-    let context = exact_context ~target ~pipelined cu in
-    let cached =
-      match Cu.store_get cu ~kind:"exact" ~context with
-      | None -> None
-      | Some payload -> (
-        match Uas_dfg.Sched.exact_of_string payload with
-        | Some _ as ok -> ok
-        | None ->
-          Cu.store_undecodable cu ~kind:"exact";
-          None)
+    let s, cert =
+      match cached with
+      | Some sc -> sc
+      | None ->
+        let sc = Estimate.kernel_schedule_cert ~target ~pipelined detail in
+        Cu.store_put cu ~kind:"schedule" ~context (schedule_payload sc);
+        sc
     in
-    match cached with
-    | Some e ->
-      Cu.set_exact cu e;
-      e
-    | None ->
-      let witness = ensure_schedule ~target ~pipelined cu in
-      let e = Estimate.kernel_exact ~target ~witness (ensure_dfg ~target cu) in
-      Cu.store_put cu ~kind:"exact" ~context
-        (Uas_dfg.Sched.exact_to_string e);
-      Cu.set_exact cu e;
-      e)
+    (* an exhausted effort budget degrades the cell, it never hangs the
+       sweep: the certificate becomes a footnoted incident on the unit,
+       replayed from a cached entry exactly like the cold run logged
+       it *)
+    (match cert with
+    | Some c -> (
+      match Uas_dfg.Sched.degradation_note s c with
+      | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
+      | None -> ())
+    | None -> ());
+    let s, certificate = checked ~target cu detail (s, cert) in
+    Cu.set_schedule ?certificate cu s;
+    s
 
 let dfg_build ?(target = Datapath.default) () =
   Pass.v "dfg-build" (fun cu ->
@@ -172,45 +155,6 @@ let schedule ?(target = Datapath.default) ~pipelined () =
       ignore (ensure_schedule ~target ~pipelined cu);
       Ok cu)
 
-(* ["exact-ii"]: the second oracle.  In [Exact_check] the heuristic
-   schedule is validated against the raw constraint system; in
-   [Exact_report] the exact backend additionally certifies (or
-   brackets) the optimal II of a pipelined kernel.  An invalid
-   heuristic schedule or a heuristic II below the certified optimum is
-   a soundness incident on the unit — the pass itself never fails, so
-   a sweep always completes with the evidence footnoted. *)
-let exact_ii ?(target = Datapath.default) ~pipelined
-    ~(mode : Uas_dfg.Sched.exact_mode) () =
-  Pass.v "exact-ii" (fun cu ->
-      (match mode with
-      | Uas_dfg.Sched.Exact_off -> ()
-      | Exact_check | Exact_report ->
-        let detail = ensure_dfg ~target cu in
-        let sched = ensure_schedule ~target ~pipelined cu in
-        let cfg = Datapath.sched_config target in
-        (match
-           Uas_dfg.Sched.check_schedule ~cfg detail.Uas_dfg.Build.d_graph
-             sched
-         with
-        | Ok () -> ()
-        | Error msgs ->
-          List.iter
-            (fun m ->
-              Cu.add_incident cu
-                (Diag.errorf ~pass:"exact-ii"
-                   "heuristic schedule invalid: %s" m))
-            msgs);
-        if mode = Exact_report && pipelined then begin
-          let e = ensure_exact ~target ~pipelined cu in
-          if sched.Uas_dfg.Sched.s_ii < e.Uas_dfg.Sched.e_proved then
-            Cu.add_incident cu
-              (Diag.errorf ~pass:"exact-ii"
-                 "SOUNDNESS VIOLATION: heuristic II %d below the exact \
-                  oracle's proven bound %d"
-                 sched.Uas_dfg.Sched.s_ii e.Uas_dfg.Sched.e_proved)
-        end);
-      Ok cu)
-
 let estimate ?(target = Datapath.default) ~pipelined ?name () =
   Pass.v "estimate" (fun cu ->
       let resolved_name =
@@ -219,9 +163,7 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
         | None -> (Cu.program cu).Uas_ir.Stmt.prog_name
       in
       let context =
-        schedule_context ~target ~pipelined cu
-        @ [ "cost-model=" ^ string_of_int Estimate.cost_model_version;
-            "name=" ^ resolved_name ]
+        schedule_context ~target ~pipelined cu @ [ "name=" ^ resolved_name ]
       in
       let cached =
         match Cu.store_get cu ~kind:"report" ~context with
@@ -251,4 +193,4 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
       Ok cu)
 
 let names =
-  [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "exact-ii"; "estimate" ]
+  [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "estimate" ]

@@ -22,26 +22,15 @@ val legality : ds:int -> Pass.t
 (** ["dfg-build"]: build the kernel DFG artifact. *)
 val dfg_build : ?target:Datapath.t -> unit -> Pass.t
 
-(** ["schedule"]: schedule the kernel DFG (modulo when [pipelined],
-    list otherwise), building the DFG first if missing.  A modulo run
-    that exhausts its effort budget degrades to the non-overlapped
-    fallback with an incident logged on the unit. *)
+(** ["schedule"]: schedule the kernel DFG (certified-optimal modulo
+    scheduling when [pipelined], list scheduling otherwise), building
+    the DFG first if missing.  The schedule and its certificate are one
+    store artifact.  A modulo run that exhausts its effort budget
+    degrades to the non-overlapped fallback with an incident logged on
+    the unit.  {!Uas_dfg.Sched.check_schedule} is an always-on
+    post-condition: a rejected schedule is replaced by the list
+    schedule, one incident per violation. *)
 val schedule : ?target:Datapath.t -> pipelined:bool -> unit -> Pass.t
-
-(** ["exact-ii"]: the second II oracle.  [Exact_check] validates the
-    heuristic schedule with {!Uas_dfg.Sched.check_schedule};
-    [Exact_report] additionally runs {!Uas_dfg.Sched.optimal_schedule}
-    on pipelined kernels (memoized on the unit as the [exact] artifact,
-    witness-capped by the heuristic schedule).  Violations — an invalid
-    heuristic schedule, or a heuristic II below the proven optimum —
-    become incidents; the pass never fails, so sweeps always complete.
-    [Exact_off] is a no-op. *)
-val exact_ii :
-  ?target:Datapath.t ->
-  pipelined:bool ->
-  mode:Uas_dfg.Sched.exact_mode ->
-  unit ->
-  Pass.t
 
 (** ["estimate"]: assemble the hardware report from the cached DFG and
     schedule artifacts (building them if missing) — bit-identical to

@@ -1,6 +1,6 @@
 (** Persistent content-addressed artifact store.
 
-    Expensive compilation artifacts (kernel schedules, exact-II
+    Expensive compilation artifacts (kernel schedules with their
     certificates, hardware estimates, planner rows) are serialized and
     keyed by a content hash of their full provenance: canonical program
     text, rewrite trail, tool parameters, cost-model version and the

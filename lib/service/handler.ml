@@ -147,7 +147,7 @@ let parse_tier v =
 let parse_exact v =
   match Sched.exact_mode_of_string v with
   | Some m -> Ok m
-  | None -> Error (Printf.sprintf "exact expects off, check or report, got %S" v)
+  | None -> Error (Printf.sprintf "exact expects off or report, got %S" v)
 
 let parse_objective v =
   match P.objective_of_string v with

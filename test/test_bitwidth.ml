@@ -56,7 +56,9 @@ let test_qcheck_range_soundness =
         Build.build_detailed ~inner_index:"j"
           nest.Uas_analysis.Loop_nest.inner_body
       in
-      let schedule = Uas_dfg.Sched.modulo_schedule detail.Build.d_graph in
+      let schedule =
+        fst (Uas_dfg.Sched.optimal_schedule detail.Build.d_graph)
+      in
       let ranges = BW.node_ranges detail [ ("tab", Array.make 64 0) ] in
       let arrays : (string, Types.value array) Hashtbl.t = Hashtbl.create 4 in
       Hashtbl.replace arrays "src"

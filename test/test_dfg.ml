@@ -106,14 +106,14 @@ let test_res_mii () =
   Alcotest.(check int) "ResMII"
     4
     (D.Sched.resource_mii D.Sched.default_config g);
-  let s = D.Sched.modulo_schedule g in
+  let s = fst (D.Sched.optimal_schedule g) in
   Alcotest.(check int) "II = ResMII" 4 s.D.Sched.s_ii;
   assert_valid "res-mii schedule" g s
 
 let test_modulo_port_capacity () =
   (* in any modulo schedule, no slot may exceed the port count *)
   let g, _ = D.Build.build ~inner_index:"j" (mem_heavy_body 9) in
-  let s = D.Sched.modulo_schedule g in
+  let s = fst (D.Sched.optimal_schedule g) in
   assert_valid "port-capacity schedule" g s;
   let slots = Array.make s.D.Sched.s_ii 0 in
   Array.iteri
@@ -130,7 +130,7 @@ let test_modulo_port_capacity () =
 
 let test_modulo_respects_dependences () =
   let g, _ = D.Build.build fg_body in
-  let s = D.Sched.modulo_schedule g in
+  let s = fst (D.Sched.optimal_schedule g) in
   assert_valid "fg modulo schedule" g s;
   List.iter
     (fun e ->
@@ -151,7 +151,7 @@ let test_pipelined_never_slower () =
     (fun body ->
       let g, _ = D.Build.build ~inner_index:"j" body in
       let l = D.Sched.list_schedule g in
-      let m = D.Sched.modulo_schedule g in
+      let m = fst (D.Sched.optimal_schedule g) in
       assert_valid "list schedule" g l;
       assert_valid "modulo schedule" g m;
       Alcotest.(check bool) "II <= list length" true
@@ -186,7 +186,7 @@ let test_qcheck_modulo_sound =
     arb
     (fun body ->
       let g, _ = D.Build.build ~inner_index:"j" body in
-      let s = D.Sched.modulo_schedule g in
+      let s = fst (D.Sched.optimal_schedule g) in
       let deps_ok =
         List.for_all
           (fun e ->

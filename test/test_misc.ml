@@ -102,7 +102,7 @@ let test_list_schedule_respects_ports () =
 
 let test_empty_graph_schedule () =
   let g = Uas_dfg.Graph.create [] [] in
-  let s = Uas_dfg.Sched.modulo_schedule g in
+  let s = fst (Uas_dfg.Sched.optimal_schedule g) in
   Alcotest.(check int) "II 1" 1 s.Uas_dfg.Sched.s_ii
 
 (* --- datapath accounting --- *)

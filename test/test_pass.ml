@@ -179,8 +179,7 @@ let test_hook_sees_every_pass () =
   | N.Skipped d -> Alcotest.failf "combined skipped: %a" Diag.pp d);
   Alcotest.(check (list string))
     "pass order of the combined pipeline"
-    [ "loop-nest"; "jam"; "squash"; "dfg-build"; "schedule"; "exact-ii";
-      "estimate" ]
+    [ "loop-nest"; "jam"; "squash"; "dfg-build"; "schedule"; "estimate" ]
     (List.rev !order)
 
 (* --- instrumentation --- *)
@@ -206,6 +205,12 @@ let test_runner_spans () =
             (List.mem s spans))
         [ "pass.loop-nest"; "pass.squash"; "pass.dfg-build"; "pass.schedule";
           "pass.estimate" ];
+      (* one span per layer: the stages open none inside their pass *)
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (s ^ " span not nested in its pass") false
+            (List.mem s spans))
+        [ "dfg-build"; "schedule"; "schedule.exact" ];
       let counters = Instrument.counters () in
       Alcotest.(check bool) "analysis cache counters recorded" true
         (List.mem_assoc "cu.analysis-miss" counters))

@@ -434,13 +434,13 @@ let test_cli_parse_fault_flags () =
     [ "--fault"; "pass.run:raise:1" ]
     { defaults with Cli.o_fault = Some "pass.run:raise:1" };
   check_ok "--exact-ii off" [ "--exact-ii"; "off" ] defaults;
-  check_ok "--exact-ii check" [ "--exact-ii"; "check" ]
-    { defaults with Cli.o_exact = Uas_dfg.Sched.Exact_check };
   check_ok "--exact-ii report" [ "--exact-ii"; "report" ]
     { defaults with Cli.o_exact = Uas_dfg.Sched.Exact_report };
   ignore (check_error "--validate junk" [ "--validate"; "maybe" ]);
   ignore (check_error "--validate without value" [ "--validate" ]);
   ignore (check_error "--exact-ii junk" [ "--exact-ii"; "always" ]);
+  (* one scheduler: there is no heuristic schedule left to check *)
+  ignore (check_error "--exact-ii check" [ "--exact-ii"; "check" ]);
   ignore (check_error "--exact-ii without value" [ "--exact-ii" ]);
   ignore (check_error "--task-timeout 0" [ "--task-timeout"; "0" ]);
   ignore (check_error "--task-timeout noise" [ "--task-timeout"; "soon" ]);

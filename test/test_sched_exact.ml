@@ -1,8 +1,8 @@
-(* The exact second II oracle: branch-and-bound certification of the
-   optimal initiation interval, the shared schedule-validity checker
-   all three scheduling backends must satisfy, and the heuristic's
-   optimality gap — including a hand-built nest where the heuristic is
-   provably loose, and the effort-budget degradation paths. *)
+(* The modulo scheduler: branch-and-bound certification of the optimal
+   initiation interval, the register-aware completion step, the
+   schedule-validity checker every schedule must satisfy — including a
+   hand-built nest where an iterative heuristic is provably loose — and
+   the effort-budget degradation path. *)
 
 open Uas_ir
 module D = Uas_dfg
@@ -39,9 +39,9 @@ let mem_heavy_body k =
 
 (* k jammed copies of a distance-1 memory recurrence (w[j] from
    w[j-1]): RecMII 5 per copy, 2k memory ops.  At k = 5 the ports are
-   exactly saturated at the recurrence bound and the iterative
-   heuristic provably leaves a gap: it settles at II 6 where the exact
-   oracle certifies a witness at the lower bound 5. *)
+   exactly saturated at the recurrence bound: greedy iterative modulo
+   scheduling settles at II 6, where the exact search certifies a
+   witness at the lower bound 5. *)
 let jam_rec k =
   List.concat
     (List.init k (fun c ->
@@ -58,56 +58,51 @@ let bodies =
     ("jam-rec 3", jam_rec 3);
     ("jam-rec 5", jam_rec 5) ]
 
-(* --- the validity checker accepts what the backends produce --- *)
+let optimal g = fst (Sd.optimal_schedule g)
+
+(* --- the validity checker accepts what the schedulers produce --- *)
 
 let test_check_accepts_backends () =
   List.iter
     (fun (name, body) ->
       let g = build body in
       check_ok (name ^ " list") g (Sd.list_schedule g);
-      check_ok (name ^ " modulo") g (Sd.modulo_schedule g))
+      check_ok (name ^ " raw witness") g
+        (fst (Sd.optimal_schedule ~compact:false g));
+      check_ok (name ^ " optimal") g (optimal g))
     bodies
 
-(* --- the exact oracle certifies, and brackets the heuristic --- *)
+(* --- the scheduler certifies its II --- *)
 
 let test_exact_certifies () =
   List.iter
     (fun (name, body) ->
       let g = build body in
-      let h = Sd.modulo_schedule g in
-      let e = Sd.optimal_schedule ~witness:h g in
-      (match e.Sd.e_status with
+      let s, c = Sd.optimal_schedule g in
+      (match c.Sd.cert_status with
       | Sd.Exact_optimal -> ()
-      | s -> Alcotest.failf "%s: not certified (%s)" name (Sd.exact_status_name s));
-      match e.Sd.e_schedule with
-      | None -> Alcotest.failf "%s: certified but no witness" name
-      | Some w ->
-        check_ok (name ^ " exact witness") g w;
-        let lb = Sd.min_ii Sd.default_config g in
-        Alcotest.(check bool)
-          (name ^ " min_ii <= optimal") true
-          (lb <= w.Sd.s_ii);
-        Alcotest.(check bool)
-          (name ^ " optimal <= heuristic") true
-          (w.Sd.s_ii <= h.Sd.s_ii);
-        Alcotest.(check int)
-          (name ^ " proved = optimal") w.Sd.s_ii e.Sd.e_proved)
+      | st ->
+        Alcotest.failf "%s: not certified (%s)" name (Sd.exact_status_name st));
+      check_ok (name ^ " certified schedule") g s;
+      let lb = Sd.min_ii Sd.default_config g in
+      Alcotest.(check bool)
+        (name ^ " min_ii <= optimal") true (lb <= s.Sd.s_ii);
+      Alcotest.(check bool)
+        (name ^ " optimal <= list length") true
+        (s.Sd.s_ii <= (Sd.list_schedule g).Sd.s_length);
+      Alcotest.(check int)
+        (name ^ " proved = optimal") s.Sd.s_ii c.Sd.cert_proved)
     bodies
 
 let test_hand_built_loose () =
-  (* the jam-rec 5 nest: the heuristic settles one slot above the
-     certified optimum, so the reported gap is exactly 1 *)
+  (* the jam-rec 5 nest: the ports are saturated at the recurrence
+     bound, and the search still reaches it *)
   let g = build (jam_rec 5) in
   Alcotest.(check int) "lower bound" 5 (Sd.min_ii Sd.default_config g);
-  let h = Sd.modulo_schedule g in
-  Alcotest.(check int) "heuristic II" 6 h.Sd.s_ii;
-  let e = Sd.optimal_schedule ~witness:h g in
-  (match (e.Sd.e_status, e.Sd.e_schedule) with
-  | Sd.Exact_optimal, Some w ->
-    Alcotest.(check int) "certified optimum" 5 w.Sd.s_ii;
-    check_ok "loose witness" g w
-  | _ -> Alcotest.failf "expected a certified optimum");
-  let rendered = Fmt.str "%a" Sd.pp_gap (h.Sd.s_ii, e) in
+  let s, c = Sd.optimal_schedule g in
+  Alcotest.(check int) "certified optimum" 5 s.Sd.s_ii;
+  Alcotest.(check bool) "certified" true (c.Sd.cert_status = Sd.Exact_optimal);
+  check_ok "saturated witness" g s;
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i =
@@ -116,8 +111,8 @@ let test_hand_built_loose () =
     go 0
   in
   Alcotest.(check bool)
-    "footnote reports gap 1" true
-    (contains rendered "gap 1")
+    "footnote reports the certified II" true
+    (contains (Fmt.str "%a" Sd.pp_certificate c) "optimal II 5")
 
 (* --- mutation: perturbing a valid schedule is caught --- *)
 
@@ -126,7 +121,7 @@ let test_mutation_caught () =
      so moving any memory op by one cycle lands in a full slot (or
      breaks a dependence / goes negative) — the checker must object *)
   let g = build (mem_heavy_body 9) in
-  let s = Sd.modulo_schedule g in
+  let s = optimal g in
   Alcotest.(check int) "port-saturated II" 5 s.Sd.s_ii;
   check_ok "baseline valid" g s;
   Array.iteri
@@ -151,7 +146,7 @@ let test_tight_cycle_mutation_caught () =
   (* fg: the recurrence cycle has zero slack at II 4, so moving any
      real operator by one cycle violates a dependence *)
   let g = build fg_body in
-  let s = Sd.modulo_schedule g in
+  let s = optimal g in
   Alcotest.(check int) "tight II" 4 s.Sd.s_ii;
   Array.iteri
     (fun i n ->
@@ -176,58 +171,38 @@ let test_tight_cycle_mutation_caught () =
 
 let test_negative_time_caught () =
   let g = build (mem_heavy_body 4) in
-  let s = Sd.modulo_schedule g in
+  let s = optimal g in
   let times = Array.copy s.Sd.s_times in
   times.(0) <- -1;
   check_rejected "negative issue time" g { s with Sd.s_times = times }
 
-(* --- effort budgets degrade, deterministically and validly --- *)
-
-let test_heuristic_effort_degrades () =
-  (* the BENCH_sweep blowup, reduced: under a tiny relaxation budget
-     the modulo scheduler must not spin — it degrades to the
-     non-overlapped fallback (II = schedule length) with a note *)
-  let g = build (jam_rec 5) in
-  let sched, note = Sd.modulo_schedule_note ~effort:1 g in
-  (match note with
-  | Some _ -> ()
-  | None -> Alcotest.fail "expected a degradation note under effort 1");
-  let l = Sd.list_schedule g in
-  Alcotest.(check int) "fallback II = acyclic length" l.Sd.s_length
-    sched.Sd.s_ii;
-  check_ok "fallback still valid" g sched;
-  (* with the default budget the same graph pipelines fine *)
-  let _, note' = Sd.modulo_schedule_note g in
-  Alcotest.(check bool) "no note at default effort" true (note' = None)
+(* --- the effort budget degrades, deterministically and validly --- *)
 
 let test_exact_effort_degrades () =
+  (* under a tiny relaxation budget the scheduler must not spin: it
+     degrades to the non-overlapped list schedule, bracketing the
+     optimum, with a note *)
   let g = build (jam_rec 5) in
-  let h = Sd.modulo_schedule g in
-  (* with a witness: budget exhaustion brackets the optimum *)
-  let e = Sd.optimal_schedule ~effort:1 ~witness:h g in
-  (match e.Sd.e_status with
+  let s, c = Sd.optimal_schedule ~effort:1 g in
+  (match c.Sd.cert_status with
   | Sd.Exact_feasible -> ()
-  | s ->
-    Alcotest.failf "expected feasible-with-witness, got %s"
-      (Sd.exact_status_name s));
-  Alcotest.(check bool) "budget flagged" true e.Sd.e_effort_exhausted;
-  (match e.Sd.e_schedule with
-  | Some w ->
-    check_ok "bracketing witness" g w;
-    Alcotest.(check bool) "bracket ordered" true (e.Sd.e_proved <= w.Sd.s_ii)
-  | None -> Alcotest.fail "witness lost");
-  Alcotest.(check bool) "proved >= min_ii" true
-    (e.Sd.e_proved >= e.Sd.e_min_ii);
-  (* without a witness: unknown *)
-  let e' = Sd.optimal_schedule ~effort:1 g in
-  (match e'.Sd.e_status with
-  | Sd.Exact_unknown -> ()
-  | s ->
-    Alcotest.failf "expected unknown without witness, got %s"
-      (Sd.exact_status_name s));
-  Alcotest.(check bool) "no schedule claimed" true (e'.Sd.e_schedule = None)
+  | st ->
+    Alcotest.failf "expected a bracketed result, got %s"
+      (Sd.exact_status_name st));
+  let l = Sd.list_schedule g in
+  Alcotest.(check int) "fallback II = acyclic length" l.Sd.s_length s.Sd.s_ii;
+  check_ok "fallback still valid" g s;
+  Alcotest.(check bool) "bracket ordered" true
+    (Sd.min_ii Sd.default_config g <= c.Sd.cert_proved
+    && c.Sd.cert_proved <= s.Sd.s_ii);
+  Alcotest.(check bool) "degradation noted" true
+    (Sd.degradation_note s c <> None);
+  (* with the default budget the same graph certifies, with no note *)
+  let s', c' = Sd.optimal_schedule g in
+  Alcotest.(check bool) "no note at default effort" true
+    (Sd.degradation_note s' c' = None)
 
-(* --- the QCheck property: oracle invariants on random bodies --- *)
+(* --- the QCheck property: scheduler invariants on random bodies --- *)
 
 let gen_body st =
   let n_stmt = QCheck.Gen.int_range 2 10 st in
@@ -245,33 +220,38 @@ let gen_body st =
                  (int 255))
       | _ -> B.store "mem" B.(v "j" + int (Stdlib.( + ) 100 t)) (B.v dst))
 
-let test_qcheck_exact_brackets =
+(* both random-DFG sources: the memory-heavy bodies above and the
+   inner bodies of the shared random nests *)
+let gen_any_body =
+  QCheck.Gen.oneof
+    [ gen_body;
+      QCheck.Gen.map
+        (fun p -> (Helpers.nest_of p "i").Uas_analysis.Loop_nest.inner_body)
+        Helpers.gen_nest_program ]
+
+let test_qcheck_schedule_properties =
   let arb =
-    QCheck.make gen_body ~print:(fun b ->
+    QCheck.make gen_any_body ~print:(fun b ->
         String.concat "\n" (List.map Pp.stmt_to_string b))
   in
-  QCheck.Test.make
-    ~name:"exact oracle brackets the heuristic (random bodies)" ~count:80 arb
-    (fun body ->
+  QCheck.Test.make ~name:"optimal schedule properties (random bodies)"
+    ~count:80 arb (fun body ->
       let g = build body in
-      let h = Sd.modulo_schedule g in
-      let valid s = Sd.check_schedule g s = Ok () in
-      let lb = Sd.min_ii Sd.default_config g in
-      let e = Sd.optimal_schedule ~witness:h g in
-      valid h
-      && valid (Sd.list_schedule g)
-      && e.Sd.e_min_ii = lb
-      && e.Sd.e_min_ii <= e.Sd.e_proved
-      (* soundness: the heuristic can never beat the proven bound *)
-      && h.Sd.s_ii >= e.Sd.e_proved
-      && e.Sd.e_status <> Sd.Exact_unknown
-      &&
-      match (e.Sd.e_status, e.Sd.e_schedule) with
-      | Sd.Exact_optimal, Some w ->
-        valid w && lb <= w.Sd.s_ii && w.Sd.s_ii <= h.Sd.s_ii
-        && e.Sd.e_proved = w.Sd.s_ii
-      | Sd.Exact_feasible, Some w -> valid w && e.Sd.e_proved <= w.Sd.s_ii
-      | _ -> false)
+      let s, c = Sd.optimal_schedule g in
+      let raw, _ = Sd.optimal_schedule ~compact:false g in
+      let again, c_again = Sd.optimal_schedule g in
+      let list_length = (Sd.list_schedule g).Sd.s_length in
+      Sd.check_schedule g s = Ok ()
+      && Sd.min_ii Sd.default_config g <= s.Sd.s_ii
+      && s.Sd.s_ii <= list_length
+      && c.Sd.cert_status = Sd.Exact_optimal
+      && c.Sd.cert_proved = s.Sd.s_ii
+      (* deterministic *)
+      && again = s && c_again = c
+      (* the completion step keeps the II and only improves *)
+      && raw.Sd.s_ii = s.Sd.s_ii
+      && Sd.register_estimate g s <= Sd.register_estimate g raw
+      && s.Sd.s_length <= raw.Sd.s_length)
 
 let suite =
   [ Alcotest.test_case "checker accepts all backends" `Quick
@@ -283,8 +263,6 @@ let suite =
     Alcotest.test_case "mutation caught (tight cycle)" `Quick
       test_tight_cycle_mutation_caught;
     Alcotest.test_case "negative time caught" `Quick test_negative_time_caught;
-    Alcotest.test_case "heuristic effort degrades" `Quick
-      test_heuristic_effort_degrades;
     Alcotest.test_case "exact effort degrades" `Quick
       test_exact_effort_degrades;
-    QCheck_alcotest.to_alcotest test_qcheck_exact_brackets ]
+    QCheck_alcotest.to_alcotest test_qcheck_schedule_properties ]

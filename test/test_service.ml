@@ -199,7 +199,7 @@ let test_request_roundtrip () =
            { Handler.p_bench = "des-mem";
              p_objective = P.Ratio;
              p_validate = false;
-             p_exact = Sched.Exact_check;
+             p_exact = Sched.Exact_report;
              p_budget_s = None }) ]
   in
   List.iter

@@ -203,7 +203,7 @@ let test_schedule_serialization_roundtrip () =
   List.iter
     (fun (name, body) ->
       let g = graph_of body in
-      let s = Sd.modulo_schedule g in
+      let s = fst (Sd.optimal_schedule g) in
       match Sd.schedule_of_string (Sd.schedule_to_string s) with
       | Some s' ->
         if s' <> s then Alcotest.failf "%s: schedule round-trip differs" name
@@ -216,15 +216,19 @@ let test_exact_serialization_roundtrip () =
   List.iter
     (fun (name, body) ->
       let g = graph_of body in
-      let witness = Sd.modulo_schedule g in
-      let e = Sd.optimal_schedule ~witness g in
-      match Sd.exact_of_string (Sd.exact_to_string e) with
-      | Some e' ->
-        if e' <> e then Alcotest.failf "%s: exact round-trip differs" name
-      | None -> Alcotest.failf "%s: exact failed to parse back" name)
+      List.iter
+        (fun effort ->
+          let _, c = Sd.optimal_schedule ?effort g in
+          match Sd.certificate_of_string (Sd.certificate_to_string c) with
+          | Some c' ->
+            if c' <> c then
+              Alcotest.failf "%s: certificate round-trip differs" name
+          | None -> Alcotest.failf "%s: certificate failed to parse back" name)
+        (* certified, and bracketed by an exhausted budget *)
+        [ None; Some 1 ])
     [ ("fg", fg_body); ("mem", mem_body) ];
   Alcotest.(check (option reject)) "junk rejected" None
-    (Option.map ignore (Sd.exact_of_string "exact 2 what"))
+    (Option.map ignore (Sd.certificate_of_string "cert 2 what"))
 
 let iir () =
   match R.find "iir" with
@@ -303,8 +307,8 @@ let test_warm_run_identical_and_served () =
         true
         (hits > 0 && misses = 0))
 
-(* Exact_report exercises all three artifact kinds the stages cache:
-   schedule, exact certificate, and hardware estimate. *)
+(* Exact_report renders the certificates stored with the schedules:
+   a warm run must replay them from the store. *)
 let test_warm_exact_report_identical () =
   with_store (fun _s ->
       let run () =
@@ -317,6 +321,97 @@ let test_warm_exact_report_identical () =
       Alcotest.(check string) "warm byte-identical to cold" cold warm;
       Alcotest.(check bool) "no warm misses" true
         (counter "cu.store-hit" > 0 && counter "cu.store-miss" = 0))
+
+(* Entries a cost-model-1 build wrote (schedules from the iterative
+   heuristic and the reports derived from them) must never serve a
+   cost-model-2 run.  Poison both kinds under the exact contexts the
+   cost-model-1 stages keyed them by: the run must miss them and
+   recompute, and only its own entries serve the next run. *)
+let test_old_cost_model_is_miss () =
+  let b = iir () in
+  let run () =
+    match
+      N.run_version_cu b.R.b_program ~outer_index:b.R.b_outer_index
+        ~inner_index:b.R.b_inner_index N.Pipelined
+    with
+    | Ok (_, _, r) -> r
+    | Error d -> Alcotest.failf "pipelined: %s" (Uas_pass.Diag.to_string d)
+  in
+  (* computed before any store is installed *)
+  let poisoned = { (run ()) with Uas_hw.Estimate.r_ii = 999 } in
+  with_store (fun s ->
+      let cu =
+        Uas_pass.Cu.make b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index
+      in
+      let v1 =
+        [ "target=" ^ Uas_hw.Datapath.fingerprint Uas_hw.Datapath.default;
+          "kernel=" ^ b.R.b_inner_index;
+          "pipelined=true";
+          "effort=50000000" ]
+      in
+      Uas_pass.Cu.store_put cu ~kind:"schedule" ~context:v1
+        ("note -\n"
+        ^ Sd.schedule_to_string
+            { Sd.s_ii = 999; s_times = [||]; s_length = 999 });
+      Uas_pass.Cu.store_put cu ~kind:"report"
+        ~context:(v1 @ [ "cost-model=1"; "name=pipelined" ])
+        (Uas_hw.Estimate.report_to_string poisoned);
+      Instrument.reset ();
+      let r = run () in
+      Alcotest.(check int) "no cost-model-1 entry served" 0
+        (counter "cu.store-hit");
+      Alcotest.(check int) "schedule and report both missed" 2
+        (counter "cu.store-miss");
+      Alcotest.(check int) "recomputed II" 10 r.Uas_hw.Estimate.r_ii;
+      Alcotest.(check int) "poisoned plus fresh entries written" 4
+        (Store.stats s).Store.st_writes;
+      Instrument.reset ();
+      ignore (run ());
+      Alcotest.(check int) "the cost-model-2 entries serve" 2
+        (counter "cu.store-hit"))
+
+(* [check_schedule] is the [schedule] pass's post-condition on cached
+   schedules too: an entry under the current key that decodes to an
+   invalid schedule degrades the cell to the list schedule, with the
+   violations on record, instead of reaching the estimate. *)
+let test_invalid_cached_schedule_degrades () =
+  let b = iir () in
+  with_store (fun _s ->
+      let cu =
+        Uas_pass.Cu.make b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index
+      in
+      let g =
+        (Uas_hw.Estimate.kernel_detail b.R.b_program ~index:b.R.b_inner_index)
+          .D.Build.d_graph
+      in
+      let all_at_zero =
+        { Sd.s_ii = 1;
+          s_times = Array.make (D.Graph.node_count g) 0;
+          s_length = 1 }
+      in
+      Uas_pass.Cu.store_put cu ~kind:"schedule"
+        ~context:
+          [ "target=" ^ Uas_hw.Datapath.fingerprint Uas_hw.Datapath.default;
+            "kernel=" ^ b.R.b_inner_index;
+            "pipelined=true";
+            "effort=" ^ string_of_int Sd.default_exact_effort;
+            "cost-model=" ^ string_of_int Uas_hw.Estimate.cost_model_version ]
+        ("cert 1 optimal 1 0\n" ^ Sd.schedule_to_string all_at_zero);
+      match
+        N.run_version_cu b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index N.Pipelined
+      with
+      | Error d -> Alcotest.failf "pipelined: %s" (Uas_pass.Diag.to_string d)
+      | Ok (cu, _, r) ->
+        Alcotest.(check int) "served from the store" 1 (counter "cu.store-hit");
+        Alcotest.(check bool) "violations on record" true
+          (List.exists
+             (fun (d : Uas_pass.Diag.t) -> d.Uas_pass.Diag.d_pass = "schedule")
+             (Uas_pass.Cu.incidents cu));
+        Alcotest.(check int) "degraded to the list schedule"
+          (Sd.list_schedule g).Sd.s_length r.Uas_hw.Estimate.r_ii)
 
 let test_verify_mode_clean () =
   with_store (fun _s ->
@@ -523,6 +618,10 @@ let suite =
       test_warm_run_identical_and_served;
     Alcotest.test_case "warm exact-report run byte-identical" `Quick
       test_warm_exact_report_identical;
+    Alcotest.test_case "cost-model-1 entries are misses" `Quick
+      test_old_cost_model_is_miss;
+    Alcotest.test_case "invalid cached schedule degrades" `Quick
+      test_invalid_cached_schedule_degrades;
     Alcotest.test_case "verify mode: clean cache, no incidents" `Quick
       test_verify_mode_clean;
     Alcotest.test_case "verify mode: poisoned entry flagged" `Quick
