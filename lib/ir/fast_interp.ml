@@ -10,6 +10,13 @@
    [run] builds a fresh mutable state, so one compilation serves every
    workload of a sweep (and may be shared across domains).
 
+   Profiling allocates nothing: an operator charges its cycles with one
+   add to a run-wide counter, and a loop credits its inclusive cycles
+   as the growth of that counter between its entry and its exit.  The
+   profile is only observable on a run that returns — one that raises
+   (Stuck, Out_of_fuel) discards it — so the credits a raising run
+   never reaches cannot be missed.
+
    The tier is observationally identical to the reference interpreter
    (Interp) — outputs, final scalars, the full cycle/trip/mem-ref
    profile, and the same [Interp.Stuck] messages and
@@ -67,22 +74,17 @@ type rt = {
   defined : bool array;  (* only consulted for undeclared-index slots *)
   arrs : value array array;  (* array slots *)
   prof : Interp.profile;
-  mutable fuel : int;
-  mutable loop_stack : Interp.loop_stats list;
+  mutable fuel : int;  (* statements executed = initial fuel - fuel *)
 }
 
 let stuck fmt = Fmt.kstr (fun s -> raise (Interp.Stuck s)) fmt
 
 let charge rt cycles =
-  rt.prof.Interp.total_cycles <- rt.prof.Interp.total_cycles + cycles;
-  List.iter
-    (fun (ls : Interp.loop_stats) -> ls.cycles <- ls.cycles + cycles)
-    rt.loop_stack
+  rt.prof.Interp.total_cycles <- rt.prof.Interp.total_cycles + cycles
 
 let burn rt =
   if rt.fuel <= 0 then raise Interp.Out_of_fuel;
-  rt.fuel <- rt.fuel - 1;
-  rt.prof.Interp.stmts_executed <- rt.prof.Interp.stmts_executed + 1
+  rt.fuel <- rt.fuel - 1
 
 let op_cost (k : Opinfo.op_kind) = max 1 (Opinfo.default_delay k)
 
@@ -173,10 +175,10 @@ let unop_fn (o : unop) : value -> value =
 
 (* --- expression compilation ---
 
-   The compile-time context: the slot resolver plus the program (for
-   ROM contents, which are baked into the lookup closures). *)
+   The compile-time context: the slot resolver plus the ROM tables,
+   pre-boxed once per program and shared by every lookup site. *)
 
-type ctx = { sl : Slots.t; prog : Stmt.program }
+type ctx = { sl : Slots.t; roms : value array array (* by ROM slot *) }
 
 let rec compile_expr ({ sl; _ } as ctx : ctx) (e : Expr.t) : rt -> value =
   match e with
@@ -218,24 +220,14 @@ let rec compile_expr ({ sl; _ } as ctx : ctx) (e : Expr.t) : rt -> value =
   | Rom (r, i) -> (
     let ci = compile_int ctx i in
     let cost = op_cost Opinfo.Op_rom in
-    (* the last declaration of a name wins, as in the reference
-       interpreter's rom table *)
-    let decl =
-      List.fold_left
-        (fun acc (d : Stmt.rom_decl) ->
-          if String.equal d.r_name r then Some d else acc)
-        None ctx.prog.Stmt.roms
-    in
-    match decl with
+    match Slots.rom_slot sl r with
     | None ->
       fun rt ->
         let _ = ci rt in
         charge rt cost;
         stuck "lookup in undeclared rom %s" r
-    | Some d ->
-      (* ROM contents are program constants: pre-box every element at
-         compile time so a hit allocates nothing *)
-      let values = Array.map (fun n -> VInt n) d.Stmt.r_data in
+    | Some slot ->
+      let values = ctx.roms.(slot) in
       let size = Array.length values in
       fun rt ->
         let idx = ci rt in
@@ -373,22 +365,18 @@ let rec compile_stmt ({ sl; _ } as ctx : ctx) path (s : Stmt.t) : rt -> unit =
       let lo = clo rt in
       let hi = chi rt in
       let ls = loop_stats_for rt lpath in
-      rt.loop_stack <- ls :: rt.loop_stack;
+      let entry_cycles = rt.prof.Interp.total_cycles in
       if not declared then rt.defined.(slot) <- true;
-      let rec iterate i =
-        if i < hi then begin
-          rt.scal.(slot) <- VInt i;
-          ls.trips <- ls.trips + 1;
-          body rt;
-          iterate (i + step)
-        end
-      in
-      let finish () =
-        rt.loop_stack <-
-          (match rt.loop_stack with [] -> [] | _ :: rest -> rest)
-      in
-      (try iterate lo with e -> finish (); raise e);
-      finish ();
+      let i = ref lo in
+      while !i < hi do
+        rt.scal.(slot) <- VInt !i;
+        ls.trips <- ls.trips + 1;
+        body rt;
+        i := !i + step
+      done;
+      (* inclusive: everything charged since entry, nested loops too *)
+      ls.cycles <-
+        ls.cycles + (rt.prof.Interp.total_cycles - entry_cycles);
       (* the index keeps its exit value, like a C loop variable *)
       let exit_value =
         if hi <= lo then lo else lo + ((hi - lo + step - 1) / step) * step
@@ -402,7 +390,10 @@ and compile_block ctx path (stmts : Stmt.t list) : rt -> unit =
   | [ f; g ] -> fun rt -> f rt; g rt
   | fs ->
     let fs = Array.of_list fs in
-    fun rt -> Array.iter (fun f -> f rt) fs
+    fun rt ->
+      for k = 0 to Array.length fs - 1 do
+        (Array.unsafe_get fs k) rt
+      done
 
 (* --- whole-program compilation --- *)
 
@@ -414,9 +405,15 @@ type compiled = {
 
 let compile (p : Stmt.program) : compiled =
   let sl = Slots.of_program p in
-  { c_program = p;
-    c_slots = sl;
-    c_body = compile_block { sl; prog = p } "" p.body }
+  (* ROM contents are program constants: pre-box every element once so
+     a hit allocates nothing *)
+  let roms =
+    Array.of_list
+      (List.map
+         (fun (d : Stmt.rom_decl) -> Array.map (fun n -> VInt n) d.r_data)
+         p.roms)
+  in
+  { c_program = p; c_slots = sl; c_body = compile_block { sl; roms } "" p.body }
 
 let program c = c.c_program
 let slots c = c.c_slots
@@ -477,8 +474,7 @@ let init (c : compiled) (w : Interp.workload) ~fuel : rt =
         stmts_executed = 0;
         mem_refs = 0;
         loops = Hashtbl.create 16 };
-    fuel;
-    loop_stack = [] }
+    fuel }
 
 (** Run a compiled program on a workload.  The compiled value is not
     mutated: each call builds a fresh state, so one compilation can be
@@ -509,6 +505,7 @@ let run ?(fuel = Interp.default_fuel) (c : compiled) (w : Interp.workload) :
         | None -> assert false)
       (Stmt.scalar_decls c.c_program)
   in
+  rt.prof.Interp.stmts_executed <- fuel - rt.fuel;
   { Interp.outputs; final_scalars; profile = rt.prof }
 
 (** Compile and run in one step (no artifact reuse). *)

@@ -1,6 +1,11 @@
 (* C-like pretty-printer for the IR; used by the CLI, examples and error
-   messages.  The output is meant for humans, round-tripping is not a
-   goal. *)
+   messages.  The program form is the surface syntax [Parser] reads
+   back.
+
+   One printer, into a [Buffer]: the formatter entry points hand its
+   text over line by line.  The output is byte-frozen — every artifact
+   store key hashes [program_to_string], so changing a single byte
+   re-keys the whole store (docs/CACHING.md). *)
 
 open Types
 
@@ -14,78 +19,132 @@ let prec_of_binop = function
   | BXor -> 1
   | BOr -> 0
 
-let rec pp_expr_prec prec ppf (e : Expr.t) =
+let str = Buffer.add_string
+let int b n = str b (string_of_int n)
+
+let ty b = function Tint -> str b "int" | Tfloat -> str b "float"
+
+let rec expr b prec (e : Expr.t) =
   match e with
-  | Int n -> Fmt.int ppf n
+  | Int n -> int b n
   (* +. 0. normalizes IEEE negative zero: "%g" would print it "-0",
      which reparses as the integer 0 and reprints as "0" — breaking
      the canonical-text fixpoint the artifact-store keys rely on *)
-  | Float f -> Fmt.pf ppf "%g" (f +. 0.)
-  | Var v -> Fmt.string ppf v
-  | Load (a, i) -> Fmt.pf ppf "%s[%a]" a (pp_expr_prec 0) i
-  | Rom (r, i) -> Fmt.pf ppf "%s(%a)" r (pp_expr_prec 0) i
-  | Unop (o, x) -> Fmt.pf ppf "%s%a" (unop_name o) (pp_expr_prec 8) x
+  | Float f -> Printf.bprintf b "%g" (f +. 0.)
+  | Var v -> str b v
+  | Load (a, i) ->
+    str b a;
+    str b "[";
+    expr b 0 i;
+    str b "]"
+  | Rom (r, i) ->
+    str b r;
+    str b "(";
+    expr b 0 i;
+    str b ")"
+  | Unop (o, x) ->
+    str b (unop_name o);
+    expr b 8 x
   | Binop (o, l, r) ->
     let p = prec_of_binop o in
-    let body ppf () =
-      Fmt.pf ppf "%a %s %a" (pp_expr_prec p) l (binop_name o)
-        (pp_expr_prec (p + 1)) r
-    in
-    if Stdlib.( < ) p prec then Fmt.pf ppf "(%a)" body ()
-    else body ppf ()
+    let paren = p < prec in
+    if paren then str b "(";
+    expr b p l;
+    str b " ";
+    str b (binop_name o);
+    str b " ";
+    expr b (p + 1) r;
+    if paren then str b ")"
   | Select (c, t, f) ->
-    Fmt.pf ppf "(%a ? %a : %a)" (pp_expr_prec 1) c (pp_expr_prec 1) t
-      (pp_expr_prec 1) f
+    str b "(";
+    expr b 1 c;
+    str b " ? ";
+    expr b 1 t;
+    str b " : ";
+    expr b 1 f;
+    str b ")"
 
-let pp_expr ppf e = pp_expr_prec 0 ppf e
+let e0 b e = expr b 0 e
 
-let rec pp_stmt ~indent ppf (s : Stmt.t) =
+(* Assignments and stores are most of a program and print directly;
+   loops, conditionals and declarations are few, so [bprintf] is fast
+   enough for them. *)
+let rec stmt b indent (s : Stmt.t) =
   let pad = String.make indent ' ' in
+  str b pad;
   match s with
-  | Assign (x, e) -> Fmt.pf ppf "%s%s = %a;" pad x pp_expr e
-  | Store (a, i, e) -> Fmt.pf ppf "%s%s[%a] = %a;" pad a pp_expr i pp_expr e
-  | If (c, t, []) ->
-    Fmt.pf ppf "%sif (%a) {@\n%a@\n%s}" pad pp_expr c
-      (pp_block ~indent:(indent + 2)) t pad
-  | If (c, t, e) ->
-    Fmt.pf ppf "%sif (%a) {@\n%a@\n%s} else {@\n%a@\n%s}" pad pp_expr c
-      (pp_block ~indent:(indent + 2)) t pad
-      (pp_block ~indent:(indent + 2)) e pad
+  | Assign (x, e) ->
+    str b x;
+    str b " = ";
+    expr b 0 e;
+    str b ";"
+  | Store (a, i, e) ->
+    str b a;
+    str b "[";
+    expr b 0 i;
+    str b "] = ";
+    expr b 0 e;
+    str b ";"
+  | If (c, t, e) -> (
+    let inner = block (indent + 2) in
+    Printf.bprintf b "if (%a) {\n%a\n%s}" e0 c inner t pad;
+    match e with
+    | [] -> ()
+    | e -> Printf.bprintf b " else {\n%a\n%s}" inner e pad)
   | For l ->
-    let step_s =
-      if l.step = 1 then Printf.sprintf "%s++" l.index
-      else Printf.sprintf "%s += %d" l.index l.step
-    in
-    Fmt.pf ppf "%sfor (%s = %a; %s < %a; %s) {@\n%a@\n%s}" pad l.index pp_expr
-      l.lo l.index pp_expr l.hi step_s
-      (pp_block ~indent:(indent + 2)) l.body pad
+    let step = if l.step = 1 then "++" else " += " ^ string_of_int l.step in
+    Printf.bprintf b "for (%s = %a; %s < %a; %s%s) {\n%a\n%s}" l.index e0
+      l.lo l.index e0 l.hi l.index step (block (indent + 2)) l.body pad
 
-and pp_block ~indent ppf stmts =
-  Fmt.pf ppf "%a"
-    Fmt.(list ~sep:(any "@\n") (pp_stmt ~indent))
+and block indent b stmts =
+  List.iteri
+    (fun k s ->
+      if k > 0 then str b "\n";
+      stmt b indent s)
     stmts
 
-let pp_array_decl ppf (d : Stmt.array_decl) =
-  let kind =
-    match d.a_kind with
-    | Stmt.Input -> "in" | Stmt.Output -> "out" | Stmt.Local -> "local"
-  in
-  Fmt.pf ppf "%s %a %s[%d];" kind pp_ty d.a_ty d.a_name d.a_size
+let program b (p : Stmt.program) =
+  Printf.bprintf b "program %s {\n" p.prog_name;
+  List.iter (fun (x, t) -> Printf.bprintf b "  param %a %s;\n" ty t x) p.params;
+  List.iter
+    (fun (d : Stmt.array_decl) ->
+      let kind =
+        match d.a_kind with
+        | Stmt.Input -> "in" | Stmt.Output -> "out" | Stmt.Local -> "local"
+      in
+      Printf.bprintf b "  %s %a %s[%d];\n" kind ty d.a_ty d.a_name d.a_size)
+    p.arrays;
+  List.iter
+    (fun (r : Stmt.rom_decl) ->
+      Printf.bprintf b "  rom %s = { " r.r_name;
+      Array.iteri
+        (fun k n ->
+          if k > 0 then str b ", ";
+          int b n)
+        r.r_data;
+      str b " };\n")
+    p.roms;
+  List.iter (fun (x, t) -> Printf.bprintf b "  %a %s;\n" ty t x) p.locals;
+  Printf.bprintf b "%a\n}\n" (block 2) p.body
 
-let pp_rom_decl ppf (r : Stmt.rom_decl) =
-  Fmt.pf ppf "rom %s = { %s };" r.r_name
-    (String.concat ", " (Array.to_list (Array.map string_of_int r.r_data)))
+let to_string size print x =
+  let b = Buffer.create size in
+  print b x;
+  Buffer.contents b
 
-(* The printed form is the surface syntax [Parser] reads back: the
-   round-trip parse (program_to_string p) == p holds structurally. *)
-let pp_program ppf (p : Stmt.program) =
-  Fmt.pf ppf "program %s {@\n" p.prog_name;
-  List.iter (fun (x, t) -> Fmt.pf ppf "  param %a %s;@\n" pp_ty t x) p.params;
-  List.iter (fun d -> Fmt.pf ppf "  %a@\n" pp_array_decl d) p.arrays;
-  List.iter (fun r -> Fmt.pf ppf "  %a@\n" pp_rom_decl r) p.roms;
-  List.iter (fun (x, t) -> Fmt.pf ppf "  %a %s;@\n" pp_ty t x) p.locals;
-  Fmt.pf ppf "%a@\n}@\n" (pp_block ~indent:2) p.body
+let expr_to_string e = to_string 64 e0 e
+let stmt_to_string s = to_string 256 (fun b -> stmt b 0) s
+let program_to_string p = to_string 4096 program p
 
-let expr_to_string e = Fmt.str "%a" pp_expr e
-let stmt_to_string s = Fmt.str "%a" (pp_stmt ~indent:0) s
-let program_to_string p = Fmt.str "%a" pp_program p
+(* Each '\n' of the text becomes a forced newline, so inside a caller's
+   box the lines indent exactly as the box dictates. *)
+let output ppf text =
+  List.iteri
+    (fun k line ->
+      if k > 0 then Format.pp_force_newline ppf ();
+      Format.pp_print_string ppf line)
+    (String.split_on_char '\n' text)
+
+let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)
+let pp_stmt ~indent ppf s = output ppf (to_string 256 (fun b -> stmt b indent) s)
+let pp_program ppf p = output ppf (program_to_string p)

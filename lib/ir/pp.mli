@@ -1,7 +1,13 @@
 (** C-like pretty-printing of the IR.  The program form is the surface
     syntax {!Parser} reads back, so
     [Parser.program_of_string (program_to_string p)] round-trips
-    structurally. *)
+    structurally.
+
+    The text is byte-frozen: {!program_to_string} is the canonical
+    program text every artifact-store key hashes, so any change to the
+    output re-keys every store entry.  There is one printer; the
+    [pp_*] formatters print the same text (each newline a forced
+    newline). *)
 
 (** Binding strength used when printing binary operators; {!Parser}
     uses the same table so text round-trips. *)
@@ -9,9 +15,6 @@ val prec_of_binop : Types.binop -> int
 
 val pp_expr : Expr.t Fmt.t
 val pp_stmt : indent:int -> Stmt.t Fmt.t
-val pp_block : indent:int -> Stmt.t list Fmt.t
-val pp_array_decl : Stmt.array_decl Fmt.t
-val pp_rom_decl : Stmt.rom_decl Fmt.t
 val pp_program : Stmt.program Fmt.t
 val expr_to_string : Expr.t -> string
 val stmt_to_string : Stmt.t -> string

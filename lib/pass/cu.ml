@@ -240,14 +240,17 @@ let content_fault_plan () =
              && String.equal (String.sub s 0 6) "store."))
     |> String.concat ","
 
+(* Under its own span: the first key of a unit prints the program, and
+   that cost belongs to the store, not to whichever pass asked first. *)
 let store_key cu ~kind ~context =
-  Store.key
-    (("store-format=" ^ string_of_int Store.format_version)
-     :: ("kind=" ^ kind)
-     :: ("trail=" ^ String.concat ";" (trail cu))
-     :: ("fault=" ^ content_fault_plan ())
-     :: context
-    @ [ canonical_text cu ])
+  Instrument.span "store.key" (fun () ->
+      Store.key
+        (("store-format=" ^ string_of_int Store.format_version)
+         :: ("kind=" ^ kind)
+         :: ("trail=" ^ String.concat ";" (trail cu))
+         :: ("fault=" ^ content_fault_plan ())
+         :: context
+        @ [ canonical_text cu ]))
 
 let store_incident cu ~kind msg =
   add_incident cu

@@ -12,7 +12,8 @@
     [pass.dfg-build], [pass.schedule], [pass.estimate], plus
     [pass.verify] around interpreter replay).  The estimator's internal
     [dfg-build]/[schedule]/[estimate] spans remain for finer-grained
-    attribution, and the compilation unit publishes
+    attribution; inside a pass, [store.key] times artifact-store key
+    construction, and the compilation unit publishes
     [cu.analysis-hit]/[cu.analysis-miss] counters. *)
 
 (** Record spans and counters from now on ([true]) or make them

@@ -265,6 +265,19 @@ let test_undeclared_index_parity () =
          B.store "dst" (B.int 1) (B.v "u") ])
     w0
 
+(* a (degenerate) duplicated ROM name: the last declaration wins on
+   both tiers, for its contents and its bounds *)
+let test_duplicate_rom_parity () =
+  let p at =
+    B.program "dup_rom" ~locals:[ ("i", Types.Tint) ]
+      ~arrays:[ B.output "dst" 4 ]
+      ~roms:[ B.rom_decl "tab" [| 1; 2 |]; B.rom_decl "tab" [| 7; 8; 9; 10 |] ]
+      [ B.for_ "i" ~hi:(B.int 4)
+          [ B.store "dst" (B.v "i") B.(rom "tab" (v "i" + int at)) ] ]
+  in
+  check_parity ~msg:"last ROM declaration wins" (p 0) w0;
+  check_stuck_parity ~msg:"bounds of the last ROM declaration" (p 1) w0
+
 (* --- Out_of_fuel parity -------------------------------------------- *)
 
 let test_fuel_parity () =
@@ -284,6 +297,122 @@ let test_fuel_parity () =
         (runs_with fuel (fun fuel -> Interp.run ~fuel p w))
         (runs_with fuel (fun fuel -> Fast_interp.run_program ~fuel p w)))
     [ 1; 2; full - 1; full; full + 1 ]
+
+(* --- profile parity: loop accounting ------------------------------- *)
+
+(* The fast tier credits a loop's inclusive cycles from the growth of
+   the cycle counter between entry and exit; these shapes are where
+   that could drift from the reference, which charges every enclosing
+   loop on every operator. *)
+
+let test_sibling_loops_share_path () =
+  let p =
+    B.program "siblings"
+      ~locals:[ ("i", Types.Tint); ("j", Types.Tint); ("a", Types.Tint) ]
+      ~arrays:[ B.input "src" 8; B.output "dst" 8 ]
+      [ B.for_ "i" ~hi:(B.int 4)
+          [ B.for_ "j" ~hi:(B.int 3)
+              [ B.("a" <-- v "a" + load "src" (v "i" + v "j")) ];
+            B.for_ "j" ~hi:(B.int 2) [ B.("a" <-- v "a" * int 3) ];
+            B.if_ B.(v "i" < int 2)
+              [ B.for_ "j" ~hi:(B.int 5) [ B.("a" <-- v "a" - v "j") ] ]
+              [ B.for_ "j" ~hi:(B.int 1) [ B.("a" <-- v "a" + int 7) ] ];
+            B.store "dst" (B.v "i") (B.v "a") ];
+        B.for_ "i" ~lo:(B.int 4) ~hi:(B.int 8)
+          [ B.store "dst" (B.v "i") (B.load "src" (B.v "i")) ] ]
+  in
+  check_parity ~msg:"sibling loops sharing an index" p
+    (Helpers.random_workload ~seed:5 p)
+
+let test_inner_loop_reentered () =
+  List.iter
+    (fun (m, n) ->
+      let p = Helpers.fg_loop ~m ~n in
+      check_parity
+        ~msg:(Printf.sprintf "inner loop re-entered (%dx%d)" m n)
+        p (Helpers.random_workload p))
+    [ (1, 1); (6, 5); (5, 0) ]
+
+let test_wavelet3_nest_profiles () =
+  let b = R.wavelet3 () in
+  List.iter
+    (fun v ->
+      match
+        N.build_version_result b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index v
+      with
+      | Error d ->
+        Alcotest.failf "Wavelet3 %s: %s" (N.version_name v)
+          (Uas_pass.Diag.to_string d)
+      | Ok built ->
+        check_parity
+          ~msg:("Wavelet3 " ^ N.version_name v)
+          built.N.bv_program b.R.b_workload)
+    (N.versions_for ~depth:3)
+
+(* a run that raises mid-loop abandons its loop credits; the next run
+   of the same compiled value must not see any of them *)
+let test_clean_run_after_mid_loop_raise () =
+  let p =
+    B.program "midloop"
+      ~locals:[ ("i", Types.Tint); ("j", Types.Tint); ("a", Types.Tint) ]
+      ~arrays:[ B.input "idx" 6; B.input "src" 4; B.output "dst" 6 ]
+      [ B.for_ "i" ~hi:(B.int 6)
+          [ B.for_ "j" ~hi:(B.int 3)
+              [ B.("a" <-- v "a" + load "src" (load "idx" (v "i"))) ];
+            B.store "dst" (B.v "i") (B.v "a") ] ]
+  in
+  let idx l = ("idx", Array.map (fun n -> Types.VInt n) l) in
+  let src = ("src", Array.init 4 (fun n -> Types.VInt (n + 1))) in
+  let clean = Interp.workload ~arrays:[ idx [| 0; 1; 2; 3; 2; 1 |]; src ] () in
+  (* the fourth outer trip reads src[9] *)
+  let bad = Interp.workload ~arrays:[ idx [| 0; 1; 2; 9; 2; 1 |]; src ] () in
+  let compiled = Fast_interp.compile p in
+  let expect_clean msg =
+    match Interp.diff_results (Interp.run p clean) (Fast_interp.run compiled clean) with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: fast tier diverges: %s" msg d
+  in
+  expect_clean "first clean run";
+  (match
+     (stuck_of (fun () -> Interp.run p bad),
+      stuck_of (fun () -> Fast_interp.run compiled bad))
+   with
+  | Some a, Some b -> Alcotest.(check string) "same Stuck message" a b
+  | _ -> Alcotest.fail "expected Stuck from both tiers");
+  expect_clean "clean run after Stuck";
+  let full = (Interp.run p clean).Interp.profile.Interp.stmts_executed in
+  List.iter
+    (fun fuel ->
+      (match Fast_interp.run ~fuel compiled clean with
+      | _ -> Alcotest.failf "fuel %d: expected Out_of_fuel" fuel
+      | exception Interp.Out_of_fuel -> ());
+      expect_clean (Printf.sprintf "clean run after Out_of_fuel at %d" fuel))
+    [ 5; full / 2; full - 1 ]
+
+(* --- allocation ---------------------------------------------------- *)
+
+(* Profiling and dispatch allocate nothing per operator: what remains
+   is boxing the values computed.  A per-operator closure or list walk
+   coming back would roughly triple this. *)
+let test_allocation_per_statement () =
+  List.iter
+    (fun (b : R.benchmark) ->
+      let built =
+        N.build_version b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index (N.Squashed 16)
+      in
+      let compiled = Fast_interp.compile built.N.bv_program in
+      let before = Gc.minor_words () in
+      let r = Fast_interp.run compiled b.R.b_workload in
+      let words = Gc.minor_words () -. before in
+      let per_stmt =
+        words /. float_of_int r.Interp.profile.Interp.stmts_executed
+      in
+      if per_stmt > 3.0 then
+        Alcotest.failf "%s squash(16): %.2f minor words per statement (> 3)"
+          b.R.b_name per_stmt)
+    (R.all ())
 
 (* --- tier plumbing ------------------------------------------------- *)
 
@@ -362,7 +491,19 @@ let suite =
       test_stuck_parity;
     Alcotest.test_case "undeclared loop index parity" `Quick
       test_undeclared_index_parity;
+    Alcotest.test_case "duplicated ROM name parity" `Quick
+      test_duplicate_rom_parity;
     Alcotest.test_case "Out_of_fuel parity" `Quick test_fuel_parity;
+    Alcotest.test_case "profile parity: sibling loops share a path" `Quick
+      test_sibling_loops_share_path;
+    Alcotest.test_case "profile parity: inner loop re-entered" `Quick
+      test_inner_loop_reentered;
+    Alcotest.test_case "profile parity: 3-deep Wavelet3 nest" `Quick
+      test_wavelet3_nest_profiles;
+    Alcotest.test_case "profile parity: clean run after a mid-loop raise"
+      `Quick test_clean_run_after_mid_loop_raise;
+    Alcotest.test_case "allocation per statement (squash(16))" `Quick
+      test_allocation_per_statement;
     Alcotest.test_case "tier_of_string" `Quick test_tier_of_string;
     Alcotest.test_case "run_tier dispatch" `Quick test_run_tier_dispatch;
     Alcotest.test_case "missing output error names benchmark" `Quick

@@ -591,6 +591,119 @@ let test_scan_reports_contents () =
   Alcotest.(check int) "one object per write" 3 count;
   Alcotest.(check bool) "bytes accounted" true (bytes > 0)
 
+(* --- frozen canonical text ---
+
+   Every store key hashes [Pp.program_to_string], so the printer's
+   output is byte-frozen: any change to it re-keys every entry and
+   turns a warm store cold.  These digests pin the canonical text of
+   all 50 Table 6.2 programs and the 5 Wavelet3 versions; the store
+   key pins how the text, rewrite trail and context combine. *)
+
+let frozen_text_md5 =
+  [
+    ("Skipjack-mem", "original", "887f43e8fdd96594c58eb771b2d9dd16");
+    ("Skipjack-mem", "pipelined", "887f43e8fdd96594c58eb771b2d9dd16");
+    ("Skipjack-mem", "squash(2)", "df2dc457f54aa3182fe1b77391aa6eb5");
+    ("Skipjack-mem", "squash(4)", "b205822be05fc3058cc42902e73f8aa4");
+    ("Skipjack-mem", "squash(8)", "82b16490318f332638ae0ce17067e741");
+    ("Skipjack-mem", "squash(16)", "7d7af728de4801b98d447add2a5fdd83");
+    ("Skipjack-mem", "jam(2)", "2c6fe33dd2b4b955051b19bf16c39ed8");
+    ("Skipjack-mem", "jam(4)", "5fa7e50426fe19dde75c4a7d480fed26");
+    ("Skipjack-mem", "jam(8)", "9f01ce8241906a1be0731ec1b3e7356e");
+    ("Skipjack-mem", "jam(16)", "5e5180e8a0e9c72213ecb3c0c4a97bee");
+    ("Skipjack-hw", "original", "f195afac60e3da6f91a3abc32eef8b43");
+    ("Skipjack-hw", "pipelined", "f195afac60e3da6f91a3abc32eef8b43");
+    ("Skipjack-hw", "squash(2)", "04cef897e12c2d1210a4d1fad2482ab1");
+    ("Skipjack-hw", "squash(4)", "9e17a26ee7f3a7be3d087e786603326e");
+    ("Skipjack-hw", "squash(8)", "ba6096d2f96a0dbd4739966a38008591");
+    ("Skipjack-hw", "squash(16)", "99d629438784e4a0e1223850be822ec4");
+    ("Skipjack-hw", "jam(2)", "7db93e73671ccde30ece36b283a644a0");
+    ("Skipjack-hw", "jam(4)", "00ab83c6dce0b9fe4309c17389690332");
+    ("Skipjack-hw", "jam(8)", "52a95071f452dae279efe50975102e8d");
+    ("Skipjack-hw", "jam(16)", "bdb91befa38411c8261d45450ede822a");
+    ("DES-mem", "original", "d49f0cb9ee7db24cb810bacb2a56e9f7");
+    ("DES-mem", "pipelined", "d49f0cb9ee7db24cb810bacb2a56e9f7");
+    ("DES-mem", "squash(2)", "f5968da5ed123541935bcd194787228a");
+    ("DES-mem", "squash(4)", "3bba013504d79919af377a4ff14eaf45");
+    ("DES-mem", "squash(8)", "251c9f0dc44046a2d38e154533886eb7");
+    ("DES-mem", "squash(16)", "7e244126d7d39f638b619b7d92c0b423");
+    ("DES-mem", "jam(2)", "e94b8f80aeb71cd125faaf019f25ea18");
+    ("DES-mem", "jam(4)", "75b0a80264b4752ed584bba9fc8301e7");
+    ("DES-mem", "jam(8)", "66ab41783b33f40c9590a59d9e8bfb5e");
+    ("DES-mem", "jam(16)", "7c793df3313fe7e78af3078f38ca2ffb");
+    ("DES-hw", "original", "85ebd803c8251e84afb92e85408dfca9");
+    ("DES-hw", "pipelined", "85ebd803c8251e84afb92e85408dfca9");
+    ("DES-hw", "squash(2)", "9d611cad41f59ebb96eb4278752cb5e1");
+    ("DES-hw", "squash(4)", "3980d41e70819bee8037267e98d74224");
+    ("DES-hw", "squash(8)", "6465fdc53a66da2c30e419c8f1119a91");
+    ("DES-hw", "squash(16)", "0d3a07e5a66676a3ec753acc18bb6202");
+    ("DES-hw", "jam(2)", "6e1a550b8f6f11b9b970da2c81a4d686");
+    ("DES-hw", "jam(4)", "cffe1bbf40430f88be92ce861ec51657");
+    ("DES-hw", "jam(8)", "3b336cb72c0c01fce70a3daf564c1a96");
+    ("DES-hw", "jam(16)", "2ea063db6b29594db1de85786fda8c01");
+    ("IIR", "original", "cbbaafdf689e5a028ec56248b43d95de");
+    ("IIR", "pipelined", "cbbaafdf689e5a028ec56248b43d95de");
+    ("IIR", "squash(2)", "1ca1bafcfc84908aec2bab3fae531487");
+    ("IIR", "squash(4)", "43174c71679a2885c765c649aba378cb");
+    ("IIR", "squash(8)", "aa99946e54771ef20747e4365e5af0dc");
+    ("IIR", "squash(16)", "04b5e2b6ece3d96384e5b2186ad6b038");
+    ("IIR", "jam(2)", "8f705d87d9dbdb7a841b28b30db13292");
+    ("IIR", "jam(4)", "068faa9f39143eabce64a53a9c4f768c");
+    ("IIR", "jam(8)", "c1a819a9b1ee0443a34ff8643f354b0a");
+    ("IIR", "jam(16)", "2db51162c08476cd4df7bb89bdce4667");
+    ("Wavelet3", "original", "4fe92c1658e61b030583c2de2e78183a");
+    ("Wavelet3", "pipelined", "4fe92c1658e61b030583c2de2e78183a");
+    ("Wavelet3", "flatten+squash(2)", "e5041fb95a857b7562ebcaf5932b4505");
+    ("Wavelet3", "flatten+squash(4)", "0e521b454c7ff8fe123d0d7dc16d9703");
+    ("Wavelet3", "flatten+squash(8)", "15dc91b56135098a05411811b2013f48") ]
+
+let frozen_cells () =
+  List.concat_map
+    (fun (b : R.benchmark) ->
+      let versions =
+        if String.equal b.R.b_name "Wavelet3" then N.versions_for ~depth:3
+        else N.paper_versions
+      in
+      List.map
+        (fun v ->
+          let built =
+            N.build_version b.R.b_program ~outer_index:b.R.b_outer_index
+              ~inner_index:b.R.b_inner_index v
+          in
+          ((b.R.b_name, N.version_name v), built.N.bv_program))
+        versions)
+    (R.all () @ [ R.wavelet3 () ])
+
+let test_canonical_text_frozen () =
+  let cells = frozen_cells () in
+  Alcotest.(check int) "cell count" (List.length frozen_text_md5)
+    (List.length cells);
+  List.iter2
+    (fun (bench, version, md5) ((b, v), p) ->
+      let label = bench ^ " " ^ version in
+      Alcotest.(check (pair string string)) "cell order" (bench, version) (b, v);
+      let text = Pp.program_to_string p in
+      Alcotest.(check string) (label ^ " text digest") md5
+        (Digest.to_hex (Digest.string text));
+      Alcotest.(check string) (label ^ " pp_program = program_to_string") text
+        (Fmt.str "%a" Pp.pp_program p))
+    frozen_text_md5 cells
+
+let test_store_key_frozen () =
+  let b = R.iir () in
+  match
+    N.run_version_cu b.R.b_program ~outer_index:b.R.b_outer_index
+      ~inner_index:b.R.b_inner_index (N.Squashed 4)
+  with
+  | Error d -> Alcotest.failf "IIR squash(4): %s" (Uas_pass.Diag.to_string d)
+  | Ok (cu, _, _) ->
+    Alcotest.(check string) "trail" "squash{factor=4}"
+      (String.concat ";" (Uas_pass.Cu.trail cu));
+    Alcotest.(check string) "IIR squash(4) schedule key"
+      "7e3e8c776a931f50718de822c80d567d"
+      (Uas_pass.Cu.store_key cu ~kind:"schedule"
+         ~context:[ "kernel=" ^ Uas_pass.Cu.inner_index cu; "pipelined=true" ])
+
 let suite =
   [ Alcotest.test_case "write/read round-trip" `Quick
       test_write_read_roundtrip;
@@ -631,4 +744,7 @@ let suite =
     Alcotest.test_case "publish waits for a foreign lock" `Quick
       test_write_waits_for_foreign_lock;
     Alcotest.test_case "scan reports the store contents" `Quick
-      test_scan_reports_contents ]
+      test_scan_reports_contents;
+    Alcotest.test_case "canonical text frozen (Table 6.2 + Wavelet3)" `Quick
+      test_canonical_text_frozen;
+    Alcotest.test_case "store key frozen" `Quick test_store_key_frozen ]
