@@ -6,12 +6,15 @@
    scalarization, scalar cleanup, interchange — the §4.2 rewrites that
    widen squash's applicability or shrink its kernel) followed by
    squash at DS in {2, 4, 8}; the two untransformed designs (original,
-   pipelined) anchor the ranking.  Every candidate runs the same
-   memoized pass pipeline the sweep engine uses — analyze, the rewrite
-   passes from the registry, then dfg-build/schedule/estimate — fanned
-   out over the domain pool.  An illegal candidate keeps its diagnostic
-   and ranks below every estimated one, so a plan table always accounts
-   for the full search space. *)
+   pipelined) anchor the ranking.  Candidates run the same memoized
+   pass pipeline the sweep engine uses — analyze, the rewrite passes
+   from the registry, then dfg-build/schedule/estimate — in two phases
+   over the domain pool: phase 1 takes each candidate through its
+   enabling prefix, phase 2 runs squash and quick synthesis once per
+   distinct resulting design and hands the result to every candidate
+   that reached it (see "the two-phase search" below).  An illegal
+   candidate keeps its diagnostic and ranks below every estimated one,
+   so a plan table always accounts for the full search space. *)
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
@@ -99,13 +102,12 @@ type plan = {
   p_rows : row list;  (** ranked, best first; skipped candidates last *)
 }
 
-let rewrite_passes ?validate (c : candidate) : Pass.t list =
-  List.map
-    (fun name ->
-      if String.equal name "squash" then
-        Rewrite.pass ~factor:c.c_ds ?validate "squash"
-      else Rewrite.pass ?validate name)
-    c.c_sequence
+(* A candidate's rewrites split into its enabling prefix and whether a
+   trailing squash follows; squash only ever comes last. *)
+let split_sequence (c : candidate) =
+  match List.rev c.c_sequence with
+  | "squash" :: rev_prefix -> (List.rev rev_prefix, true)
+  | _ -> (c.c_sequence, false)
 
 (* ---- plan-row serialization (artifact store) ----
 
@@ -234,58 +236,6 @@ let row_context ?validate ~exact ~target ~outer_index ~inner_index
     "cost-model=" ^ string_of_int Estimate.cost_model_version;
     "effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
 
-let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
-    (p : Uas_ir.Stmt.program) ~outer_index ~inner_index (c : candidate) : row
-    =
-  let cu = Cu.make p ~outer_index ~inner_index in
-  let kind = "plan-row" in
-  let context =
-    row_context ?validate ~exact ~target ~outer_index ~inner_index c
-  in
-  let cached =
-    match Cu.store_get cu ~kind ~context with
-    | None -> None
-    | Some payload -> (
-      match row_of_payload c payload with
-      | Some _ as ok -> ok
-      | None ->
-        Cu.store_undecodable cu ~kind;
-        None)
-  in
-  match cached with
-  | Some row -> row
-  | None ->
-    let passes =
-      (Stages.analyze :: rewrite_passes ?validate c)
-      @ [ Stages.dfg_build ~target ();
-          Stages.schedule ~target ~pipelined:c.c_pipelined ();
-          Stages.estimate ~target ~pipelined:c.c_pipelined ~name:c.c_label ()
-        ]
-    in
-    let row =
-      match Pass.run cu passes with
-      | Ok cu -> (
-        match Cu.report cu with
-        | Some r ->
-          let certificate =
-            if exact = Uas_dfg.Sched.Exact_report then Cu.certificate cu
-            else None
-          in
-          { r_candidate = c;
-            r_outcome = Ok r;
-            r_certificate = certificate;
-            r_incidents = Cu.incidents cu }
-        | None -> assert false (* the estimate pass always sets the report *)
-        )
-      | Error d ->
-        { r_candidate = c;
-          r_outcome = Error d;
-          r_certificate = None;
-          r_incidents = [] }
-    in
-    Cu.store_put cu ~kind ~context (row_payload row);
-    row
-
 (* ---- metrics and ranking ---- *)
 
 let speedup ~(base : Estimate.report) (r : Estimate.report) =
@@ -318,45 +268,8 @@ let rank_key objective ~base (row : row) =
         r.Estimate.r_area_rows,
         row.r_candidate.c_label ) )
 
-(** Score every candidate of the search space on the benchmark nest and
-    rank by [objective] (default: [Ratio], the Figure 6.3 efficiency
-    metric).  Candidates fan out over the domain pool like sweep
-    versions; each runs inside a fault scope named
-    ["<benchmark>/<label>"], and a task the pool gives up on ranks last
-    with a [task] diagnostic instead of aborting the plan. *)
-let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
-    ?(factors = default_factors) ?validate ?exact ?timeout_s ?retries
-    (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
-  let cands =
-    let depth =
-      Option.value ~default:2
-        (Uas_analysis.Loop_nest.depth_at p outer_index)
-    in
-    candidates ~factors ~depth ()
-  in
-  let rows =
-    Parallel.map_results ?jobs ?timeout_s ?retries
-      (fun c ->
-        Fault.with_scope
-          (benchmark ^ "/" ^ c.c_label)
-          (fun () ->
-            run_candidate ?validate ?exact ~target p ~outer_index ~inner_index
-              c))
-      cands
-    |> List.map2
-         (fun c -> function
-           | Ok row -> row
-           | Error tf ->
-             Instrument.incr "plan.task-failures";
-             { r_candidate = c;
-               r_outcome =
-                 Error
-                   (Diag.errorf ~pass:"task" "%s"
-                      (Parallel.Task_failure.to_message tf));
-               r_certificate = None;
-               r_incidents = [] })
-         cands
-  in
+(** Rank scored rows, one per candidate, into a plan. *)
+let of_rows ?(objective = Ratio) ~benchmark rows : plan =
   let baseline =
     List.find_map
       (fun row ->
@@ -376,6 +289,229 @@ let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     p_objective = objective;
     p_baseline = baseline;
     p_rows = ranked }
+
+(* ---- the two-phase search ----
+
+   Sharing is sound because everything after the prefix — squash,
+   DFG, schedule, estimate — is a function of the prefix program, the
+   kernel location, DS and the pipelining flag; the report's name is
+   the one label-dependent field, and each member gets its own.  An
+   armed fault plan breaks that (a fault changes what one candidate
+   computes), so then every candidate is its own class. *)
+
+(* What phase 2 needs of a candidate besides its class: its position,
+   the unit its plan-row was looked up on (and is saved through), and
+   its prefix incidents *)
+type member = {
+  m_index : int;
+  m_candidate : candidate;
+  m_origin : Cu.t;
+  m_incidents : Diag.t list;
+}
+
+(* A candidate after phase 1: settled (served from the store, or
+   rejected by its prefix), or staged for phase 2 with the unit its
+   prefix produced and that program's text digest *)
+type staged =
+  | Settled of row
+  | Staged of { origin : Cu.t; unit : Cu.t; digest : Digest.t }
+
+(* A phase-2 class: the first member's prefix unit and its incident
+   count at the end of phase 1 (where the remainder's incidents
+   start), and the members, newest first *)
+type design_class = {
+  k_unit : Cu.t;
+  k_prefix_incidents : int;
+  mutable k_members : member list;
+}
+
+let error_row c d =
+  { r_candidate = c;
+    r_outcome = Error d;
+    r_certificate = None;
+    r_incidents = [] }
+
+let task_failure_row c tf =
+  Instrument.incr "plan.task-failures";
+  error_row c
+    (Diag.errorf ~pass:"task" "%s" (Parallel.Task_failure.to_message tf))
+
+(* Group staged candidates into classes, in candidate order.  Only a
+   class's first unit is kept: the others are dropped here. *)
+let classes_of ~singletons (staged : (member * Cu.t * Digest.t) list) =
+  let by_key = Hashtbl.create 32 and classes = ref [] in
+  List.iter
+    (fun (m, unit, digest) ->
+      let c = m.m_candidate in
+      let key =
+        ( digest,
+          Cu.outer_index unit,
+          Cu.inner_index unit,
+          c.c_ds,
+          c.c_pipelined,
+          snd (split_sequence c) )
+      in
+      match Hashtbl.find_opt by_key key with
+      | Some k when not singletons -> k.k_members <- m :: k.k_members
+      | _ ->
+        let k =
+          { k_unit = unit;
+            k_prefix_incidents = List.length m.m_incidents;
+            k_members = [ m ] }
+        in
+        Hashtbl.replace by_key key k;
+        classes := k :: !classes)
+    staged;
+  List.rev !classes
+
+(** Score every candidate of the search space on the benchmark nest and
+    rank by [objective] (default: [Ratio], the Figure 6.3 efficiency
+    metric).  Both phases fan out over the domain pool like sweep
+    versions; a candidate's own work runs inside a fault scope named
+    ["<benchmark>/<label>"], and a task the pool gives up on ranks its
+    candidates last with a [task] diagnostic instead of aborting the
+    plan. *)
+let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
+    ?(factors = default_factors) ?validate ?(exact = Uas_dfg.Sched.Exact_off)
+    ?timeout_s ?retries (p : Uas_ir.Stmt.program) ~outer_index ~inner_index
+    ~benchmark : plan =
+  let cands =
+    let depth =
+      Option.value ~default:2
+        (Uas_analysis.Loop_nest.depth_at p outer_index)
+    in
+    candidates ~factors ~depth ()
+  in
+  let scoped (c : candidate) f =
+    Fault.with_scope (benchmark ^ "/" ^ c.c_label) f
+  in
+  let kind = "plan-row" in
+  let context c =
+    row_context ?validate ~exact ~target ~outer_index ~inner_index c
+  in
+  let save origin (row : row) =
+    Cu.store_put origin ~kind ~context:(context row.r_candidate)
+      (row_payload row)
+  in
+  (* phase 1: plan-row lookup, analysis, enabling prefix *)
+  let prefix (c : candidate) =
+    let origin = Cu.make p ~outer_index ~inner_index in
+    let cached =
+      match Cu.store_get origin ~kind ~context:(context c) with
+      | None -> None
+      | Some payload -> (
+        match row_of_payload c payload with
+        | Some _ as ok -> ok
+        | None ->
+          Cu.store_undecodable origin ~kind;
+          None)
+    in
+    match cached with
+    | Some row -> Settled row
+    | None -> (
+      let rewrites = fst (split_sequence c) in
+      match
+        Pass.run origin
+          (Stages.analyze
+          :: List.map (fun name -> Rewrite.pass ?validate name) rewrites)
+      with
+      | Ok unit ->
+        Staged
+          { origin; unit; digest = Digest.string (Cu.canonical_text unit) }
+      | Error d ->
+        let row = error_row c d in
+        save origin row;
+        Settled row)
+  in
+  let rows = Array.make (List.length cands) None in
+  let staged =
+    List.combine cands
+      (Parallel.map_results ?jobs ?timeout_s ?retries
+         (fun c -> scoped c (fun () -> prefix c))
+         cands)
+    |> List.mapi (fun i (c, result) ->
+           match result with
+           | Ok (Settled row) ->
+             rows.(i) <- Some row;
+             None
+           | Ok (Staged { origin; unit; digest }) ->
+             let m =
+               { m_index = i; m_candidate = c; m_origin = origin;
+                 m_incidents = Cu.incidents unit }
+             in
+             Some (m, unit, digest)
+           | Error tf ->
+             rows.(i) <- Some (task_failure_row c tf);
+             None)
+    |> List.filter_map Fun.id
+  in
+  let classes =
+    classes_of ~singletons:(Option.is_some (Fault.plan ())) staged
+  in
+  let n_classes = List.length classes in
+  if n_classes > 0 then (
+    Instrument.incr ~by:n_classes "plan.classes";
+    Instrument.incr ~by:(List.length staged - n_classes) "plan.shared");
+  (* phase 2: squash and quick synthesis, once per class *)
+  let remainder k =
+    let members = List.rev k.k_members in
+    let rep = (List.hd members).m_candidate in
+    let shared =
+      scoped rep (fun () ->
+          let passes =
+            (if snd (split_sequence rep) then
+               [ Rewrite.pass ~factor:rep.c_ds ?validate "squash" ]
+             else [])
+            @ [ Stages.dfg_build ~target ();
+                Stages.schedule ~target ~pipelined:rep.c_pipelined ();
+                Stages.estimate ~target ~pipelined:rep.c_pipelined
+                  ~name:rep.c_label () ]
+          in
+          match Pass.run k.k_unit passes with
+          | Ok cu -> (
+            match Cu.report cu with
+            | Some r ->
+              let certificate =
+                if exact = Uas_dfg.Sched.Exact_report then Cu.certificate cu
+                else None
+              in
+              Ok
+                ( r,
+                  certificate,
+                  List.filteri
+                    (fun i _ -> i >= k.k_prefix_incidents)
+                    (Cu.incidents cu) )
+            | None ->
+              assert false (* the estimate pass always sets the report *))
+          | Error d -> Error d)
+    in
+    List.map
+      (fun m ->
+        let c = m.m_candidate in
+        let row =
+          match shared with
+          | Ok (r, certificate, incidents) ->
+            { r_candidate = c;
+              r_outcome = Ok { r with Estimate.r_name = c.c_label };
+              r_certificate = certificate;
+              r_incidents = m.m_incidents @ incidents }
+          | Error d -> error_row c d
+        in
+        scoped c (fun () -> save m.m_origin row);
+        (m.m_index, row))
+      members
+  in
+  List.iter2
+    (fun k -> function
+      | Ok rows_k -> List.iter (fun (i, row) -> rows.(i) <- Some row) rows_k
+      | Error tf ->
+        List.iter
+          (fun m ->
+            rows.(m.m_index) <- Some (task_failure_row m.m_candidate tf))
+          k.k_members)
+    classes
+    (Parallel.map_results ?jobs ?timeout_s ?retries remainder classes);
+  of_rows ~objective ~benchmark (Array.to_list rows |> List.map Option.get)
 
 (** The rank (1-based, in plan order) of the first estimated row whose
     label satisfies the predicate. *)

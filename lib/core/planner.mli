@@ -61,17 +61,32 @@ type plan = {
   p_rows : row list;  (** ranked, best first; skipped candidates last *)
 }
 
-(** Score every candidate on the benchmark nest and rank.  Candidates
-    fan out over the domain pool ([jobs]) like sweep versions; ranking
-    is deterministic (ties break on II, cycles, area, label).
+(** Score every candidate on the benchmark nest and rank.  Ranking is
+    deterministic (ties break on II, cycles, area, label).
 
-    Fault tolerance: each candidate runs inside a
+    The search runs in two phases over the domain pool ([jobs]).  Phase
+    1 takes each candidate through its plan-row store lookup, the
+    analysis and its enabling prefix (every rewrite but the trailing
+    squash).  Candidates whose prefix leaves the same program (by
+    digest of its canonical text) at the same kernel location, with the
+    same squash factor, pipelining flag and squash-or-not, form one
+    class; phase 2 runs squash and quick synthesis once per class, on
+    its first member in candidate order.  Each member's row carries the
+    shared report under its own label, the shared certificate, and its
+    own prefix incidents followed by the class's; each member gets its
+    own plan-row entry, keyed and encoded as for a lone run.  Under an
+    armed fault plan every candidate is its own class.  The instrument
+    counters [plan.classes] and [plan.shared] count the classes and the
+    candidates served by another member's evaluation.
+
+    Fault tolerance: each candidate's phase-1 work, plan-row save and
+    (as a class's first member) phase-2 work run inside a
     [Uas_runtime.Fault.with_scope] frame named ["<benchmark>/<label>"];
     [validate] translation-validates every rewrite on the probe
     workload (a rejected rewrite degrades the candidate to its
     last-known-good program, logged in [r_incidents]);
     [timeout_s]/[retries] supervise the pool, and a task the pool gives
-    up on ranks last with a [task] diagnostic.
+    up on ranks its candidates last with a [task] diagnostic.
 
     [exact] (default [Exact_off]): [Exact_report] fills [r_certificate] with
     each pipelined candidate's scheduling certificate. *)
@@ -89,6 +104,30 @@ val plan :
   inner_index:string ->
   benchmark:string ->
   plan
+
+(** Rank scored rows, one per candidate, into a plan by [objective]
+    (default [Ratio]) — the last step of {!plan}. *)
+val of_rows : ?objective:objective -> benchmark:string -> row list -> plan
+
+(** {2 The plan-row store entry}
+
+    A scored row is stored under kind ["plan-row"], keyed by
+    {!Uas_pass.Cu.store_key} on the benchmark's unmodified program with
+    [row_context] as the context, and encoded by [row_payload]. *)
+
+(** Everything a row depends on besides the program text: datapath,
+    kernel location, the candidate, the footnote mode, whether rewrites
+    are validated, the cost-model version and the effort budget. *)
+val row_context :
+  ?validate:Uas_ir.Interp.workload ->
+  exact:Uas_dfg.Sched.exact_mode ->
+  target:Datapath.t ->
+  outer_index:string ->
+  inner_index:string ->
+  candidate ->
+  string list
+
+val row_payload : row -> string
 
 (** The 1-based rank of the first estimated row whose candidate
     satisfies the predicate; [None] when every match was skipped. *)

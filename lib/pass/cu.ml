@@ -1,6 +1,7 @@
 (* The compilation unit: program + memoized analyses + artifacts.
    Memoization is a per-field [option ref]-style mutable cache; the
-   unit is confined to one domain (one sweep task), so no locking. *)
+   unit is handed across a pool join, never shared concurrently, so no
+   locking. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest

@@ -8,11 +8,12 @@
     cache (minus anything the pass declares it [preserves]) — the
     invalidation story that keeps memoization sound.
 
-    A unit is confined to one domain: the sweep engine builds a fresh
-    unit per (benchmark, version) task, so the mutable caches need no
-    locking.  Cache traffic is visible through {!hits}/{!misses} and,
-    when instrumentation is enabled, the [cu.analysis-hit]/
-    [cu.analysis-miss] counters. *)
+    A unit is handed across a pool join, never shared concurrently:
+    the sweep engine builds a fresh unit per (benchmark, version) task,
+    and the planner hands a phase-1 unit to one phase-2 task, so the
+    mutable caches need no locking.  Cache traffic is visible through
+    {!hits}/{!misses} and, when instrumentation is enabled, the
+    [cu.analysis-hit]/[cu.analysis-miss] counters. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest

@@ -24,5 +24,6 @@ let () =
       ("bitwidth", Test_bitwidth.suite);
       ("c-export", Test_c_export.suite);
       ("goldens", Test_goldens.suite);
+      ("planner", Test_planner.suite);
       ("misc", Test_misc.suite);
       ("service", Test_service.suite) ]
