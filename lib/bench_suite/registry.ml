@@ -122,11 +122,6 @@ let find name : benchmark option =
    an otherwise-normal run. *)
 let stall_fuel = 64
 
-let tier_name = function
-  | Fast_interp.Ref -> "ref"
-  | Fast -> "fast"
-  | Native -> "native"
-
 let corrupt_result (r : Interp.result) : Interp.result =
   match r.Interp.outputs with
   | [] -> r
@@ -139,27 +134,26 @@ let corrupt_result (r : Interp.result) : Interp.result =
         | Types.VFloat x -> Types.VFloat (x +. 1.0));
     { r with Interp.outputs = (name, vs) :: rest }
 
-(** Run [p] on [w] on the chosen interpreter tier, under an
-    instrumentation span naming the tier. *)
-let run_tier ?fuel (tier : Fast_interp.tier) (p : Stmt.program)
-    (w : Interp.workload) : Interp.result =
-  let span =
-    match tier with
-    | Fast_interp.Ref -> "interp.run.ref"
-    | Fast -> "interp.run.fast"
-    | Native -> "interp.run.native"
-  in
-  Uas_runtime.Instrument.span span (fun () ->
-      match Uas_runtime.Fault.hit ~label:(tier_name tier) "interp.run" with
-      | None -> Native_interp.run_tier ?fuel tier p w
-      | Some Uas_runtime.Fault.Raise ->
-        raise
-          (Uas_runtime.Fault.Injected
-             { site = "interp.run"; kind = Uas_runtime.Fault.Raise })
-      | Some Uas_runtime.Fault.Stall ->
-        Native_interp.run_tier ~fuel:stall_fuel tier p w
-      | Some Uas_runtime.Fault.Corrupt ->
-        corrupt_result (Native_interp.run_tier ?fuel tier p w))
+(** The [interp.run] site around one interpretation on [tier]: an
+    [interp.run.<tier>] span, then [run fuel] with the caller's [fuel]
+    unless a fault says otherwise. *)
+let run_guarded ?fuel (tier : Fast_interp.tier)
+    (run : int option -> Interp.result) : Interp.result =
+  let module Fault = Uas_runtime.Fault in
+  let name = Fast_interp.tier_name tier in
+  Uas_runtime.Instrument.span ("interp.run." ^ name) (fun () ->
+      match Fault.hit ~label:name "interp.run" with
+      | None -> run fuel
+      | Some Fault.Raise ->
+        raise (Fault.Injected { site = "interp.run"; kind = Fault.Raise })
+      | Some Fault.Stall -> run (Some stall_fuel)
+      | Some Fault.Corrupt -> corrupt_result (run fuel))
+
+(** Run [p] on [w] on the chosen interpreter tier, under the
+    [interp.run] site. *)
+let run_tier ?fuel tier (p : Stmt.program) (w : Interp.workload) :
+    Interp.result =
+  run_guarded ?fuel tier (fun fuel -> Fast_interp.run_tier ?fuel tier p w)
 
 (** Does an interpreter result reproduce the benchmark's host
     reference outputs exactly? *)

@@ -33,23 +33,23 @@ val extras : unit -> benchmark list
 (** Case-insensitive lookup by name, over {!all} and {!extras}. *)
 val find : string -> benchmark option
 
-(** Deterministically perturb the first output value of a result (the
-    [corrupt] fault kind at the [interp.run] site; exposed for
-    tests). *)
-val corrupt_result : Interp.result -> Interp.result
+(** The [interp.run] fault-injection site around one interpretation
+    on [tier] (label: ["ref"] or ["fast"]), under an
+    [interp.run.ref]/[interp.run.fast] instrumentation span.  With no
+    fault it returns [run fuel]; [raise] throws [Fault.Injected],
+    [stall] calls [run] with a tiny fuel budget so the run surfaces as
+    [Interp.Out_of_fuel], and [corrupt] perturbs the first output
+    value — the scenarios the sweep's verification must absorb as
+    unverified/skipped cells.  [run] performs the interpretation, so a
+    caller can replay an artifact it already compiled. *)
+val run_guarded :
+  ?fuel:int ->
+  Fast_interp.tier ->
+  (int option -> Interp.result) ->
+  Interp.result
 
-(** The tiny fuel budget a [stall] fault at the [interp.run] site runs
-    under (so the run deterministically raises [Interp.Out_of_fuel]). *)
-val stall_fuel : int
-
-(** Run a program on a workload on the chosen interpreter tier, under
-    an [interp.run.ref]/[interp.run.fast] instrumentation span.
-
-    This is the [interp.run] fault-injection site (label: ["ref"] or
-    ["fast"]): [raise] throws [Fault.Injected], [stall] runs with a
-    tiny fuel budget so the run surfaces as [Interp.Out_of_fuel], and
-    [corrupt] perturbs the first output value — the scenarios the
-    sweep's verification must absorb as unverified/skipped cells. *)
+(** {!run_guarded} over {!Fast_interp.run_tier}: run a program on a
+    workload on the chosen interpreter tier. *)
 val run_tier :
   ?fuel:int ->
   Fast_interp.tier ->

@@ -12,7 +12,6 @@ module Parallel = Uas_runtime.Parallel
 module Instrument = Uas_runtime.Instrument
 module Fault = Uas_runtime.Fault
 module Fast_interp = Uas_ir.Fast_interp
-module Native_interp = Uas_ir.Native_interp
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Sched = Uas_dfg.Sched
@@ -50,11 +49,6 @@ type normalized = {
   n_efficiency : float;  (** speedup / area *)
   n_operator_share : float;  (** operators as a fraction of area (Fig 6.4) *)
 }
-
-let tier_label = function
-  | Fast_interp.Ref -> "ref"
-  | Fast -> "fast"
-  | Native -> "native"
 
 (* One (benchmark, version) cell: the version's pass pipeline
    (transform + quick synthesis) plus interpreter-replay verification —
@@ -95,46 +89,17 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
     let verified =
       (not verify)
       || Instrument.span "pass.verify" (fun () ->
-             (* resolve the unit's native artifact up front so a
-                compile/load failure degrades the cell (incident
-                footnote, fast tier) rather than failing it *)
-             let native =
+             let prog = built.Nimble.bv_program
+             and w = b.Registry.b_workload in
+             let run =
                match (tier : Fast_interp.tier) with
-               | Ref | Fast -> None
-               | Native -> (
-                 match Cu.native cu with
-                 | Ok nc -> Some nc
-                 | Error m ->
-                   incident "native jit unavailable: %s; degraded to fast \
-                             tier" m;
-                   None)
-             in
-             let run ?fuel () =
-               match ((tier : Fast_interp.tier), native) with
-               | Ref, _ ->
-                 Instrument.span "interp.run.ref" (fun () ->
-                     Uas_ir.Interp.run ?fuel built.Nimble.bv_program
-                       b.Registry.b_workload)
-               | Native, Some nc ->
-                 Instrument.span "interp.run.native" (fun () ->
-                     Native_interp.run ?fuel nc b.Registry.b_workload)
-               | (Fast | Native), None | Fast, Some _ ->
+               | Ref -> fun fuel -> Uas_ir.Interp.run ?fuel prog w
+               | Fast ->
                  (* reuse (or create) the unit's compiled artifact *)
                  let compiled = Cu.compiled cu in
-                 Instrument.span "interp.run.fast" (fun () ->
-                     Fast_interp.run ?fuel compiled b.Registry.b_workload)
+                 fun fuel -> Fast_interp.run ?fuel compiled w
              in
-             match
-               (* the [interp.run] fault site, tier-labeled like
-                  [Registry.run_tier] *)
-               match Fault.hit ~label:(tier_label tier) "interp.run" with
-               | None -> run ()
-               | Some Fault.Raise ->
-                 raise
-                   (Fault.Injected { site = "interp.run"; kind = Fault.Raise })
-               | Some Fault.Stall -> run ~fuel:Registry.stall_fuel ()
-               | Some Fault.Corrupt -> Registry.corrupt_result (run ())
-             with
+             match Registry.run_guarded tier run with
              | result -> (
                match Registry.check_result b result with
                | Ok () -> true

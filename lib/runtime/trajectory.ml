@@ -20,16 +20,18 @@ let schema = "uas-bench-trajectory"
    directory path, so snapshots stay machine-independent).
    v6: the native JIT tier — "interp_tier" may now be "native",
    micro targets gain per-tier interp-native rows, and the counter
-   dump gains the jit.* family (compile/memo/store traffic) with the
-   jit.compile span.
+   dump gains the JIT's compile/memo/store counters and compile span.
    v7: the "daemon" key (nimbled service counters — admitted, shed,
    timed-out, degraded, drained, queue depth, request latency — when
    the document comes from a daemon run; null otherwise), and the
    "store" object gains "evict_skipped" (cross-process eviction sweeps
    skipped because another process held the store lock).
    v8: the "gaps" array is gone — one modulo scheduler leaves no
-   heuristic-vs-exact gap to record. *)
-let version = 8
+   heuristic-vs-exact gap to record.
+   v9: the native JIT tier is gone — "interp_tier" is "ref" or "fast",
+   the counter dump has no JIT counters or spans, and micro targets
+   lose their interp-native rows. *)
+let version = 9
 
 type target = { t_name : string; t_wall_s : float }
 type metric = { m_name : string; m_value : float; m_unit : string }

@@ -7,7 +7,7 @@
     Schema (version 8; no timestamps, so snapshots diff cleanly):
     {v
     { "schema": "uas-bench-trajectory",
-      "version": 8,
+      "version": 9,
       "interp_tier": "fast",
       "jobs": null | N,
       "fault_plan": null | "site:kind:nth,...",

@@ -426,6 +426,63 @@ let test_tier_of_string () =
   check "FAST" (Some Fast_interp.Fast);
   check "turbo" None
 
+(* the retired native tier's names parse to no tier at all, in any case,
+   so a stale "native" setting cannot select a tier that no longer exists *)
+let test_tier_of_string_native () =
+  let check s =
+    Alcotest.(check bool) s true (Fast_interp.tier_of_string s = None)
+  in
+  check "native";
+  check "NATIVE";
+  check "jit"
+
+(* a UAS_INTERP left over from a build with more tiers is a one-line
+   configuration error naming the valid tiers, not a silent fallback *)
+let test_env_tier_error_stale () =
+  let prev = Sys.getenv_opt Fast_interp.env_var in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv Fast_interp.env_var (Option.value prev ~default:"fast"))
+  @@ fun () ->
+  Unix.putenv Fast_interp.env_var "native";
+  match Fast_interp.env_tier_error () with
+  | None -> Alcotest.fail "UAS_INTERP=native accepted"
+  | Some m ->
+    Alcotest.(check bool) "names ref or fast" true
+      (Helpers.contains ~sub:"ref or fast" m);
+    Alcotest.(check bool) "one line" false (String.contains m '\n')
+
+(* the unit memoizes its compiled program: repeated access is the same
+   artifact (counted as a cu.compiled-hit), and a program change through
+   with_program compiles afresh without disturbing the original unit *)
+let test_cu_compiled_reuse () =
+  let module Instrument = Uas_runtime.Instrument in
+  let hits () =
+    Option.value ~default:0
+      (List.assoc_opt "cu.compiled-hit" (Instrument.counters ()))
+  in
+  Instrument.reset ();
+  Instrument.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Instrument.set_enabled false;
+      Instrument.reset ())
+  @@ fun () ->
+  let p = Helpers.fg_loop ~m:4 ~n:4 in
+  let cu = Cu.make p ~outer_index:"i" ~inner_index:"j" in
+  let a = Cu.compiled cu in
+  let before = hits () in
+  Alcotest.(check bool) "same compiled artifact" true (Cu.compiled cu == a);
+  Alcotest.(check int) "reuse counted as a hit" (before + 1) (hits ());
+  let q = Helpers.fg_loop ~m:3 ~n:5 in
+  let c = Cu.compiled (Cu.with_program cu q) in
+  Alcotest.(check bool) "new program, new artifact" false (c == a);
+  let w = Helpers.random_workload q in
+  (match Interp.diff_results (Interp.run q w) (Fast_interp.run c w) with
+  | None -> ()
+  | Some d -> Alcotest.failf "rebuilt artifact diverges: %s" d);
+  Alcotest.(check bool) "original still cached" true (Cu.compiled cu == a)
+
 let test_run_tier_dispatch () =
   let p = Helpers.fg_loop ~m:3 ~n:3 in
   let w = Helpers.random_workload p in
@@ -505,8 +562,17 @@ let suite =
     Alcotest.test_case "allocation per statement (squash(16))" `Quick
       test_allocation_per_statement;
     Alcotest.test_case "tier_of_string" `Quick test_tier_of_string;
+    Alcotest.test_case "UAS_INTERP=native is rejected" `Quick
+      test_env_tier_error_stale;
+    Alcotest.test_case "Cu compiled artifact reuse + invalidation" `Quick
+      test_cu_compiled_reuse;
     Alcotest.test_case "run_tier dispatch" `Quick test_run_tier_dispatch;
     Alcotest.test_case "missing output error names benchmark" `Quick
       test_registry_missing_output_message;
     Alcotest.test_case "run_benchmark: ref and fast tiers agree" `Slow
       test_run_benchmark_tiers_agree ]
+
+(* the tier-name checks kept for the retired native tier *)
+let native_suite =
+  [ Alcotest.test_case "tier_of_string native" `Quick
+      test_tier_of_string_native ]

@@ -407,6 +407,12 @@ let test_cli_parse_interp_json () =
     { defaults with Cli.o_json = Some "out.json" };
   ignore (check_error "--interp without value" [ "--interp" ]);
   ignore (check_error "--interp junk" [ "--interp"; "turbo" ]);
+  (* the retired native tier: one line naming the valid tiers *)
+  let e = check_error "--interp native" [ "--interp"; "native" ] in
+  Alcotest.(check bool) "--interp native names ref or fast" true
+    (Helpers.contains ~sub:"ref or fast" e);
+  Alcotest.(check bool) "--interp native: one line" false
+    (String.contains e '\n');
   ignore (check_error "--json without value" [ "--json" ])
 
 let test_cli_rejects_unknown_target () =

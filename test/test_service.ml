@@ -189,7 +189,7 @@ let test_request_roundtrip () =
         (Handler.W_estimate
            { Handler.e_bench = "iir";
              e_verify = true;
-             e_tier = Fi.tier_of_string "native";
+             e_tier = Fi.tier_of_string "fast";
              e_validate = true;
              e_exact = Sched.Exact_report;
              e_budget_s = Some 2.5 });
@@ -219,6 +219,15 @@ let test_request_roundtrip () =
   reject "unknown option key"
     { Protocol.tag = Protocol.Sweep; body = "iir\nfrobnicate=yes" };
   reject "bad tier" { Protocol.tag = Protocol.Sweep; body = "iir\ntier=slow" };
+  (* a frame from a client built with the retired native tier *)
+  (match
+     Handler.parse { Protocol.tag = Protocol.Sweep; body = "iir\ntier=native" }
+   with
+  | Ok _ -> Alcotest.fail "tier=native: expected a parse error"
+  | Error m ->
+    Alcotest.(check bool) "tier=native names ref or fast" true
+      (Astring_contains.contains ~sub:"ref or fast" m);
+    Alcotest.(check bool) "one-line diagnostic" false (String.contains m '\n'));
   reject "bad budget"
     { Protocol.tag = Protocol.Sweep; body = "iir\nbudget=-1" };
   reject "reply tag as request"
@@ -507,7 +516,7 @@ let test_request_budget () =
 (* --- the byte-identity property ---
 
    Daemon-served SWEEP output is byte-identical to in-process
-   [Nimble.sweep] for every registry benchmark on all three
+   [Nimble.sweep] for every registry benchmark on both
    interpreter tiers (the sweep pipeline is execution-free, so the
    tier provably cannot change its bytes): exhaustive over the
    product, plus a pinned-seed QCheck pass over random
@@ -520,8 +529,7 @@ let local_sweep_render (b : R.benchmark) =
        b.R.b_program ~outer_index:b.R.b_outer_index
        ~inner_index:b.R.b_inner_index)
 
-let tiers () =
-  List.filter_map Fi.tier_of_string [ "ref"; "fast"; "native" ]
+let tiers () = [ Fi.Ref; Fi.Fast ]
 
 let test_sweep_identity_exhaustive () =
   with_server (fun socket ->

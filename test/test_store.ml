@@ -322,6 +322,33 @@ let test_warm_exact_report_identical () =
       Alcotest.(check bool) "no warm misses" true
         (counter "cu.store-hit" > 0 && counter "cu.store-miss" = 0))
 
+(* A store left by a build with the retired native tier holds [cmxs]
+   entries.  Nothing reads that kind any more: a cold and then a warm
+   Table 6.2 against such a store reproduce the golden byte-for-byte,
+   and no entry is classified bad.  (The golden is a declared test dep;
+   skipped when run outside the dune sandbox.) *)
+let test_retired_kind_entry_ignored () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../ci/goldens/table-6.2.txt"; "ci/goldens/table-6.2.txt" ]
+  with
+  | None -> Alcotest.skip ()
+  | Some path ->
+    let golden = In_channel.with_open_bin path In_channel.input_all in
+    with_store (fun s ->
+        (match
+           Store.write s ~kind:"cmxs" ~key:(Store.key [ "stale" ]) "\x7fELF"
+         with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "write: %s" m);
+        let table () =
+          Fmt.str "@.==== Table 6.2 ====@.%a@." E.pp_table_6_2
+            (E.table_6_2 ~verify:true ~jobs:2 ())
+        in
+        Alcotest.(check string) "cold table-6.2 = golden" golden (table ());
+        Alcotest.(check string) "warm table-6.2 = golden" golden (table ());
+        Alcotest.(check int) "no bad entries" 0 (Store.stats s).Store.st_bad)
+
 (* Entries a cost-model-1 build wrote (schedules from the iterative
    heuristic and the reports derived from them) must never serve a
    cost-model-2 run.  Poison both kinds under the exact contexts the
@@ -731,6 +758,8 @@ let suite =
       test_warm_run_identical_and_served;
     Alcotest.test_case "warm exact-report run byte-identical" `Quick
       test_warm_exact_report_identical;
+    Alcotest.test_case "retired-kind entry: warm table-6.2 = golden" `Slow
+      test_retired_kind_entry_ignored;
     Alcotest.test_case "cost-model-1 entries are misses" `Quick
       test_old_cost_model_is_miss;
     Alcotest.test_case "invalid cached schedule degrades" `Quick
